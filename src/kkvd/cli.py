@@ -48,44 +48,21 @@ class AnalysisReport:
 
 
 def analyze_complex(c: SimplicialComplex) -> AnalysisReport:
-    if c.is_empty:
-        return AnalysisReport(
-            facet_count=0,
-            dimension=None,
-            f_vector=None,
-            is_pure=True,
-            kk_bound=None,
-            slack=None,
-            is_extremal=None,
-        )
     d = c.dimension
-    assert d is not None
-    f = c.f_vector()
-    if not c.is_pure:
-        return AnalysisReport(
-            facet_count=c.facet_count,
-            dimension=d,
-            f_vector=f,
-            is_pure=False,
-            kk_bound=None,
-            slack=None,
-            is_extremal=None,
-        )
-    if d >= 1:
+    f = None if d is None else c.f_vector()
+    bound = slack = None
+    if c.is_pure and d is not None and d >= 0:
         bound = delta(f[d], d + 1)
-        slack = f[d - 1] - bound
-    else:
-        # codimension-1 count is the single empty face
-        bound = delta(f[0], 1) if d == 0 else None
-        slack = 1 - bound if bound is not None else None
+        # in dimension 0 the only codimension-1 face is ∅
+        slack = (f[d - 1] if d else 1) - bound
     return AnalysisReport(
         facet_count=c.facet_count,
         dimension=d,
         f_vector=f,
-        is_pure=True,
+        is_pure=c.is_pure,
         kk_bound=bound,
         slack=slack,
-        is_extremal=slack == 0 if slack is not None else None,
+        is_extremal=None if slack is None else slack == 0,
     )
 
 
@@ -144,7 +121,6 @@ def cmd_vd(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
     report = certify_vd(c, Strategy(args.strategy))
     if report.decomposable:
-        assert report.tree is not None
         doc = certificate_document(c.facets, report.strategy_used, report.tree)
         if args.cert:
             Path(args.cert).write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,15 +1,27 @@
 """Faces, face families, and facet-generated simplicial complexes.
 
-Vertices are arbitrary positive integer labels.  Inside a complex the
-labels are compacted onto bit positions 0..v-1 of an integer mask (label
-order preserved), so subset tests, links, and deletions are single-word
-operations.  All public output is in terms of the original labels.
+Vertices are arbitrary positive integer labels.  Internally a set of
+vertices is a *mask*: an int whose bit i stands for the i-th smallest of
+the labels in play.  A complex keeps its sorted labels and its facets as
+masks, always compacted (every bit 0..v-1 is some facet's vertex) and
+inclusion-maximal, sorted by size, then value.  Subset tests, links and
+deletions are then word operations.
+
+The helpers below are the one copy of each mask operation: set bits,
+the maximal filter, compaction (:func:`_compact`, the only place labels
+get renumbered), faces to masks and back, link and deletion.  The
+recursions of :mod:`kkvd.decomposition` run on them directly and build no
+complex per node.  :class:`Face` and :class:`FaceFamily` exist only at the
+edges: the public API and parsing and formatting.  All public output is
+in terms of the original labels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Iterator, Union
+import operator
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     EmptyComplex,
@@ -172,15 +184,68 @@ class FaceFamily:
         return f"FaceFamily([{inner}])"
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _union(masks: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks, without repeats, largest first."""
+    kept: list[int] = []
+    larger: list[int] = []
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        # only a mask with more bits can contain this one
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), kept[:]
+        for n in larger:
+            if m & n == m:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _compact(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(kept bits, masks moved onto bits 0..v-1) keeping bit order.
+
+    The kept bits are the v used positions, ascending; the masks come back
+    sorted by size, then value.
+    """
+    masks = list(masks)
+    union = _union(masks)
+    gaps = ((1 << union.bit_length()) - 1) ^ union
+    for g in reversed(tuple(_bits(gaps))):
+        low = (1 << g) - 1
+        masks = [(m & low) | ((m >> 1) & ~low) for m in masks]
+    return tuple(_bits(union)), tuple(sorted(sorted(masks), key=int.bit_count))
+
+
+def _masks_of(faces: Iterable[Iterable[int]], labels: Sequence[int]) -> list[int]:
+    """Each face, given by its labels, as a mask over the sorted labels."""
+    bit = {v: 1 << i for i, v in enumerate(labels)}.__getitem__
+    return [sum(map(bit, f)) for f in faces]
+
+
+def _face_of(mask: int, labels: Sequence[int]) -> Face:
+    return Face._unsafe(tuple(labels[b] for b in _bits(mask)))
+
+
+def _link_masks(masks: Iterable[int], face: int) -> list[int]:
+    """Facets of the link of a face; maximal, as F - σ ⊆ G - σ forces F ⊆ G."""
+    return [f & ~face for f in masks if f & face == face]
+
+
+def _deletion_masks(masks: Iterable[int], bit: int) -> list[int]:
+    """Facets of the deletion of a vertex."""
+    return _maximal(f & ~bit for f in masks)
 
 
 class SimplicialComplex:
@@ -191,64 +256,27 @@ class SimplicialComplex:
     differently under links and recursion and are never conflated.
     """
 
-    __slots__ = ("_labels", "_index", "_facet_masks")
+    __slots__ = ("_labels", "_facet_masks")
 
     def __init__(self, faces: Iterable[FaceLike] = ()):
         candidates = {as_face(f) for f in faces}
-        labels: set[int] = set()
-        for f in candidates:
-            labels.update(f.vertices)
+        labels = sorted({v for f in candidates for v in f.vertices})
         if len(labels) > MAX_VERTICES:
             raise TooManyVertices(
                 f"{len(labels)} distinct vertices exceed the {MAX_VERTICES}-bit mask"
             )
-        self._labels: tuple[int, ...] = tuple(sorted(labels))
-        self._index: dict[int, int] = {v: i for i, v in enumerate(self._labels)}
-        masks = {self._mask(f) for f in candidates}
-        # drop faces dominated by a strict superset
-        maximal = [
-            m for m in masks if not any(m != n and m & n == m for n in masks)
-        ]
-        self._facet_masks: tuple[int, ...] = tuple(
-            sorted(maximal, key=lambda m: (_popcount(m), m))
-        )
+        self._build(labels, _maximal(_masks_of(candidates, labels)))
 
-    # -- mask plumbing ---------------------------------------------------
-
-    def _mask(self, face: Face) -> int:
-        m = 0
-        for v in face.vertices:
-            m |= 1 << self._index[v]
-        return m
-
-    def _face(self, mask: int) -> Face:
-        return Face._unsafe(tuple(self._labels[b] for b in _bits(mask)))
+    def _build(self, labels: Sequence[int], masks: Iterable[int]) -> None:
+        """Take maximal facet masks over the given labels, compacting them."""
+        kept, self._facet_masks = _compact(masks)
+        self._labels: tuple[int, ...] = tuple(labels[b] for b in kept)
 
     @classmethod
-    def _from_masks(cls, parent_labels, masks) -> "SimplicialComplex":
-        """Build a subcomplex from facet masks in a parent's bit space."""
-        unique = set(masks)
-        maximal = [
-            m for m in unique if not any(m != n and m & n == m for n in unique)
-        ]
-        union = 0
-        for m in maximal:
-            union |= m
-        kept_bits = tuple(_bits(union))
-        remap = {b: i for i, b in enumerate(kept_bits)}
-        compacted = []
-        for m in maximal:
-            nm = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                nm |= 1 << remap[low.bit_length() - 1]
-                rest ^= low
-            compacted.append(nm)
+    def _from_masks(cls, labels, masks) -> "SimplicialComplex":
+        """A subcomplex from maximal facet masks in a parent's bit space."""
         obj = object.__new__(cls)
-        obj._labels = tuple(parent_labels[b] for b in kept_bits)
-        obj._index = {v: i for i, v in enumerate(obj._labels)}
-        obj._facet_masks = tuple(sorted(compacted, key=lambda m: (_popcount(m), m)))
+        obj._build(labels, masks)
         return obj
 
     # -- basic queries ---------------------------------------------------
@@ -259,7 +287,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[Face, ...]:
-        return tuple(self._face(m) for m in self._facet_masks)
+        return tuple(_face_of(m, self._labels) for m in self._facet_masks)
 
     @property
     def facet_count(self) -> int:
@@ -275,24 +303,25 @@ class SimplicialComplex:
         """Largest face dimension; None for the empty complex, -1 for ``{∅}``."""
         if not self._facet_masks:
             return None
-        return _popcount(self._facet_masks[-1]) - 1
+        return self._facet_masks[-1].bit_count() - 1
 
     @property
     def is_pure(self) -> bool:
         """True when all facets share one dimension (vacuously for no facets)."""
         if not self._facet_masks:
             return True
-        return _popcount(self._facet_masks[0]) == _popcount(self._facet_masks[-1])
+        return self._facet_masks[0].bit_count() == self._facet_masks[-1].bit_count()
+
+    def _face_mask(self, face: Face) -> int | None:
+        """The face as a mask, or None when it is not a face of the complex."""
+        try:
+            (m,) = _masks_of([face], self._labels)
+        except KeyError:
+            return None
+        return m if any(m & f == m for f in self._facet_masks) else None
 
     def __contains__(self, face: object) -> bool:
-        if not isinstance(face, Face):
-            return False
-        if any(v not in self._index for v in face.vertices):
-            return False
-        if not self._facet_masks:
-            return False
-        m = self._mask(face)
-        return any(m & f == m for f in self._facet_masks)
+        return isinstance(face, Face) and self._face_mask(face) is not None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -321,18 +350,12 @@ class SimplicialComplex:
             raise OutOfRange(f"dimension {i} out of range for {self!r}")
         if i == -1:
             return FaceFamily([Face()])
-        k = i + 1
         seen: set[int] = set()
         for fm in self._facet_masks:
-            bits = list(_bits(fm))
-            if len(bits) < k:
-                continue
-            for combo in itertools.combinations(bits, k):
-                m = 0
-                for b in combo:
-                    m |= 1 << b
-                seen.add(m)
-        return FaceFamily([self._face(m) for m in seen], size=k)
+            # a sum of distinct single bits is their union
+            singles = [1 << b for b in _bits(fm)]
+            seen.update(map(sum, itertools.combinations(singles, i + 1)))
+        return FaceFamily([_face_of(m, self._labels) for m in seen], size=i + 1)
 
     def all_faces(self) -> Iterator[Face]:
         """Every face including ∅, by dimension then squashed order."""
@@ -367,20 +390,20 @@ class SimplicialComplex:
     def link(self, face: FaceLike) -> "SimplicialComplex":
         """Faces disjoint from the given one whose union with it lies in the complex."""
         face = as_face(face)
-        if face not in self:
+        m = self._face_mask(face)
+        if m is None:
             raise FaceNotInComplex(f"{face!r} is not a face of {self!r}")
-        m = self._mask(face)
         return SimplicialComplex._from_masks(
-            self._labels, [f & ~m for f in self._facet_masks if f & m == m]
+            self._labels, _link_masks(self._facet_masks, m)
         )
 
     def delete_vertex(self, label: int) -> "SimplicialComplex":
         """All faces avoiding the vertex; may come out non-pure."""
-        if label not in self._index:
+        if label not in self._labels:
             raise VertexNotInComplex(f"vertex {label} not in {self!r}")
-        bit = 1 << self._index[label]
+        bit = 1 << self._labels.index(label)
         return SimplicialComplex._from_masks(
-            self._labels, [f & ~bit for f in self._facet_masks]
+            self._labels, _deletion_masks(self._facet_masks, bit)
         )
 
     def canonical_facets(self) -> tuple[tuple[int, ...], ...]:

@@ -25,9 +25,10 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex, make_complex
+from .complexes import Face, SimplicialComplex, _bits, _compact, _union
+from .complexes import _deletion_masks, _link_masks, _maximal
 from .errors import LimitExceeded, NotExtremal, NotPure
-from .kruskal_katona import _witness_scan, is_extremal
+from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
 
 
 class Strategy(enum.Enum):
@@ -88,16 +89,19 @@ class VDReport:
     obstruction: tuple[ObstructionStep, ...] = ()
 
 
-def _base_tree(c: SimplicialComplex) -> DecompositionTree | None:
-    if c.is_empty:
+def _base_tree(labels, masks) -> DecompositionTree | None:
+    if not masks:
         return Empty()
-    if c.facet_count == 1:
-        d = c.dimension
-        if d == -1:
+    if len(masks) == 1:
+        if masks[0] == 0:
             return EmptyFace()
-        if d == 0:
-            return Point(c.vertex_set[0])
+        if masks[0].bit_count() == 1:
+            return Point(labels[masks[0].bit_length() - 1])
     return None
+
+
+def _is_pure(masks) -> bool:
+    return len({m.bit_count() for m in masks}) <= 1
 
 
 def certify_vd(
@@ -112,7 +116,8 @@ def certify_vd(
     strategy = Strategy(strategy)
     if not c.is_pure:
         raise NotPure(f"{c!r} is not pure")
-    trivially_decomposable = _base_tree(c) is not None
+    labels, masks = c.vertex_set, c._facet_masks
+    trivially_decomposable = _base_tree(labels, masks) is not None
     if strategy in (Strategy.AUTO, Strategy.EXTREMAL):
         extremal = trivially_decomposable or is_extremal(c)
         if strategy is Strategy.EXTREMAL and not extremal:
@@ -121,10 +126,9 @@ def certify_vd(
             return VDReport(
                 decomposable=True,
                 strategy_used=Strategy.EXTREMAL,
-                tree=_certify_extremal(c),
+                tree=_certify_extremal(labels, masks),
             )
-    memo: dict = {}
-    tree, path = _certify_exhaustive(c, memo)
+    tree, path = _certify_exhaustive(labels, masks, {})
     if tree is not None:
         return VDReport(
             decomposable=True, strategy_used=Strategy.EXHAUSTIVE, tree=tree
@@ -134,36 +138,35 @@ def certify_vd(
     )
 
 
-def _certify_extremal(c: SimplicialComplex) -> DecompositionTree:
-    base = _base_tree(c)
+def _certify_extremal(labels, masks) -> DecompositionTree:
+    """Witness-guided recursion; masks are never compacted, so labels stay fixed."""
+    base = _base_tree(labels, masks)
     if base is not None:
         return base
-    if not is_extremal(c):
+    if not (_is_pure(masks) and _attains_bound(masks)):
         # unreachable from certify_vd; guards direct internal misuse
-        raise NotExtremal(f"{c!r} does not attain the shadow bound")
-    hit = _witness_scan(c._facet_masks, len(c.vertex_set))
+        raise NotExtremal("a subcomplex does not attain the shadow bound")
+    hit = _witness_scan(masks)
     # no witness means the facets are all k-subsets of the vertex set and
     # any vertex sheds; take the smallest either way
-    x = c.vertex_set[0] if hit is None else c.vertex_set[hit[0]]
+    x = next(_bits(_union(masks))) if hit is None else hit[0]
     return Split(
-        vertex=x,
-        link=_certify_extremal(c.link(Face(x))),
-        deletion=_certify_extremal(c.delete_vertex(x)),
+        vertex=labels[x],
+        link=_certify_extremal(labels, _link_masks(masks, 1 << x)),
+        deletion=_certify_extremal(labels, _deletion_masks(masks, 1 << x)),
     )
 
 
-def _certify_exhaustive(c, memo):
+def _certify_exhaustive(labels, masks, memo):
     """Returns (tree, ()) on success or (None, obstruction path) on failure."""
-    base = _base_tree(c)
+    base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
-    labels = c.vertex_set
-    key = c.canonical_facets()
+    kept, key = _compact(masks)
     if key not in memo:
-        canon = make_complex(key)
-        memo[key] = _search_shedding_vertex(canon, memo)
+        memo[key] = _search_shedding_vertex(key, memo)
     tree, path = memo[key]
-    back = {i + 1: lab for i, lab in enumerate(labels)}
+    back = [labels[b] for b in kept]
     if tree is not None:
         return _relabel_tree(tree, back), ()
     return None, tuple(
@@ -171,21 +174,22 @@ def _certify_exhaustive(c, memo):
     )
 
 
-def _search_shedding_vertex(c, memo):
+def _search_shedding_vertex(masks, memo):
+    """Search compacted masks; the answer names vertices by bit position."""
+    positions = range(_union(masks).bit_length())
     first_failure = None
-    for x in c.vertex_set:
-        link = c.link(Face(x))
-        deletion = c.delete_vertex(x)
-        if not link.is_pure:
-            failure = (ObstructionStep(x, "link is not pure"),)
-        elif not deletion.is_pure:
+    for x in positions:
+        # the link of a vertex in a pure complex is pure
+        deletion = _deletion_masks(masks, 1 << x)
+        if not _is_pure(deletion):
             failure = (ObstructionStep(x, "deletion is not pure"),)
         else:
-            link_tree, link_path = _certify_exhaustive(link, memo)
+            link = _link_masks(masks, 1 << x)
+            link_tree, link_path = _certify_exhaustive(positions, link, memo)
             if link_tree is None:
                 failure = (ObstructionStep(x, "link is not decomposable"),) + link_path
             else:
-                del_tree, del_path = _certify_exhaustive(deletion, memo)
+                del_tree, del_path = _certify_exhaustive(positions, deletion, memo)
                 if del_tree is not None:
                     return Split(x, link_tree, del_tree), ()
                 failure = (
@@ -260,14 +264,11 @@ def find_shelling(
     if m <= 1:
         return facets
     d = len(facets[0]) - 1
-    sets = [frozenset(f.vertices) for f in facets]
+    masks = c._facet_masks
 
     def admissible(j: int, placed: list[int]) -> bool:
-        inters = {sets[j] & sets[l] for l in placed}
-        maximal = [
-            s for s in inters if not any(s != t and s < t for t in inters)
-        ]
-        return all(len(s) == d for s in maximal)
+        inters = _maximal(masks[j] & masks[l] for l in placed)
+        return all(s.bit_count() == d for s in inters)
 
     order: list[int] = []
     used = [False] * m

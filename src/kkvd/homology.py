@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex
-from .errors import BudgetExceeded, EmptyComplex, OutOfRange
+from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
 class CoefficientField(enum.Enum):
@@ -93,7 +93,8 @@ def rank_rational(matrix: list[list[int]]) -> int:
             for cc in range(col, n_cols):
                 num = m[r][cc] * pivot - factor * m[row][cc]
                 q, rem = divmod(num, prev_pivot)
-                assert rem == 0, "fraction-free elimination lost exactness"
+                if rem:
+                    raise InvalidInput("fraction-free elimination lost exactness")
                 m[r][cc] = q
         prev_pivot = pivot
         rank += 1
@@ -176,8 +177,7 @@ def reisner_cm_check(
     violations: list[Violation] = []
     for face in c.all_faces():
         link = c.link(face)
-        link_dim = link.dimension
-        assert link_dim is not None  # a link inside the complex contains ∅
+        link_dim = link.dimension  # not None: the link of a face contains ∅
         if link_dim <= -1:
             continue
         profile = reduced_betti(link, field)

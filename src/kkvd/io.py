@@ -94,7 +94,7 @@ def node_to_tree(node: object) -> DecompositionTree:
 
 def _vertex_of(node: dict) -> int:
     v = node.get("vertex")
-    if not isinstance(v, int) or v < 1:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ParseError(f"node vertex must be a positive integer, got {v!r}")
     return v
 
@@ -113,8 +113,9 @@ def certificate_document(
 def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionTree]:
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
-    if doc.get("format") != CERTIFICATE_FORMAT:
-        raise ParseError(f"unsupported certificate format {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if isinstance(fmt, bool) or fmt != CERTIFICATE_FORMAT:
+        raise ParseError(f"unsupported certificate format {fmt!r}")
     raw_facets = doc.get("facets")
     if not isinstance(raw_facets, list):
         raise ParseError("certificate facets must be a list of vertex lists")

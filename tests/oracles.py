@@ -149,3 +149,32 @@ def random_complex(rng, max_vertices: int = 8, max_faces: int = 6):
         size = rng.randint(1, min(nv, 4))
         faces.append(tuple(rng.sample(range(1, nv + 1), size)))
     return make_complex(faces)
+
+
+def brute_vertex_decomposable(facets) -> bool:
+    """Vertex decomposability by its definition, on sets of frozensets.
+
+    A pure complex is decomposable when it is empty, {∅}, a single vertex,
+    or some vertex has a pure decomposable link and a pure decomposable
+    deletion.  Links and deletions are recomputed from the faces each time.
+    """
+    return _brute_vd(_maximal_sets(frozenset(f) for f in facets), {})
+
+
+def _maximal_sets(faces) -> frozenset:
+    faces = set(faces)
+    return frozenset(f for f in faces if not any(f < g for g in faces))
+
+
+def _brute_vd(facets: frozenset, memo: dict) -> bool:
+    if len({len(f) for f in facets}) > 1:
+        return False
+    if len(facets) <= 1 and all(len(f) <= 1 for f in facets):
+        return True
+    if facets not in memo:
+        memo[facets] = any(
+            _brute_vd(_maximal_sets(f - {v} for f in facets if v in f), memo)
+            and _brute_vd(_maximal_sets(f - {v} for f in facets), memo)
+            for v in sorted(set().union(*facets))
+        )
+    return memo[facets]

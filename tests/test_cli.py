@@ -47,6 +47,16 @@ def test_analyze_single_simplex(tmp_path, capsys):
     assert "extremal: yes" in capsys.readouterr().out
 
 
+def test_analyze_zero_dimensional_complex(tmp_path, capsys):
+    f = tmp_path / "points.txt"
+    f.write_text("1\n2\n5\n")
+    assert main(["analyze", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "kk-bound: 1" in out
+    assert "slack: 0" in out
+    assert "extremal: yes" in out
+
+
 def test_analyze_nonpure_warns_and_nulls_extremality(capsys):
     assert main(["analyze", str(DATA / "nonpure.txt"), "--json"]) == 0
     captured = capsys.readouterr()

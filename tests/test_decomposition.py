@@ -21,7 +21,7 @@ from kkvd import (
 )
 from kkvd.errors import LimitExceeded, NotExtremal, NotPure
 
-from oracles import is_valid_shelling
+from oracles import brute_vertex_decomposable, is_valid_shelling, random_family
 
 
 def walk_splits(c, tree):
@@ -159,6 +159,29 @@ def test_memoization_shares_isomorphic_subproblems():
     report = certify_vd(c, Strategy.EXHAUSTIVE)
     assert report.decomposable
     assert validate_certificate(c, report.tree)
+
+
+def test_verdicts_match_brute_force_oracle():
+    # negative verdicts come only from the exhaustive search and its memo;
+    # compare every verdict with the definition on small pure complexes
+    rng = random.Random(1302)
+    negatives = 0
+    for _ in range(1000):
+        nv = rng.randint(2, 8)
+        k = rng.randint(1, min(nv, 4))
+        labels = rng.sample(range(1, 65), nv)
+        facets = [
+            [labels[v - 1] for v in f]
+            for f in random_family(rng, k, nv, rng.randint(1, 8))
+        ]
+        report = certify_vd(make_complex(facets), Strategy.AUTO)
+        assert report.decomposable == brute_vertex_decomposable(facets), facets
+        if report.decomposable:
+            assert validate_certificate(make_complex(facets), report.tree)
+        else:
+            assert report.obstruction
+            negatives += 1
+    assert negatives >= 100
 
 
 # ---------------------------------------------------------------- validation

@@ -15,7 +15,7 @@ from kkvd import (
     reisner_cm_check,
     segment,
 )
-from kkvd.errors import BudgetExceeded, EmptyComplex, OutOfRange
+from kkvd.errors import BudgetExceeded, EmptyComplex, KKError, OutOfRange
 
 from oracles import betti_oracle, random_complex, rank_fraction, rank_gf2_sets
 
@@ -97,6 +97,11 @@ def test_rank_implementations_match_oracles():
         m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
         assert rank_rational(m) == rank_fraction(m)
         assert rank_gf2(m) == rank_gf2_sets(m)
+
+
+def test_rank_rational_rejects_inexact_elimination():
+    with pytest.raises(KKError):
+        rank_rational([[3, 1, 1], [1, 3, 1], [1, 1, 2.5]])
 
 
 # ---------------------------------------------------------------- betti

@@ -73,6 +73,18 @@ def test_tree_node_encoding_kinds():
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "wat"}},
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "split"}},
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "point"}},
+        {
+            "format": True,
+            "facets": [[1]],
+            "strategy": "auto",
+            "tree": {"kind": "point", "vertex": 1},
+        },
+        {
+            "format": 1,
+            "facets": [[1]],
+            "strategy": "auto",
+            "tree": {"kind": "point", "vertex": True},
+        },
     ],
 )
 def test_certificate_rejects_malformed_documents(doc):
