@@ -121,7 +121,8 @@ def cmd_vd(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
     report = certify_vd(c, Strategy(args.strategy))
     if report.decomposable:
-        doc = certificate_document(c.facets, report.strategy_used, report.tree)
+        if args.cert or args.json:
+            doc = certificate_document(c.facets, report.strategy_used, report.tree)
         if args.cert:
             Path(args.cert).write_text(json.dumps(doc, indent=2) + "\n")
         if args.json:

@@ -8,10 +8,11 @@ inclusion-maximal, sorted by size, then value.  Subset tests, links and
 deletions are then word operations.
 
 The helpers below are the one copy of each mask operation: set bits,
-the maximal filter, compaction (:func:`_compact`, the only place labels
-get renumbered), faces to masks and back, link and deletion.  The
-recursions of :mod:`kkvd.decomposition` run on them directly and build no
-complex per node.  :class:`Face` and :class:`FaceFamily` exist only at the
+union and intersection, the maximal filter, compaction (:func:`_compact`,
+the only place labels get renumbered), faces to masks and back, a face
+count that stops past a limit, link and deletion.  The recursions of
+:mod:`kkvd.decomposition` run on them directly and build no complex per
+node.  :class:`Face` and :class:`FaceFamily` exist only at the
 edges: the public API and parsing and formatting.  All public output is
 in terms of the original labels.
 """
@@ -196,6 +197,11 @@ def _union(masks: Iterable[int]) -> int:
     return functools.reduce(operator.or_, masks, 0)
 
 
+def _intersection(masks: Iterable[int]) -> int:
+    """The bits common to all masks; nonzero for facets of a cone."""
+    return functools.reduce(operator.and_, masks, -1)
+
+
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks, without repeats, largest first."""
     kept: list[int] = []
@@ -236,6 +242,21 @@ def _masks_of(faces: Iterable[Iterable[int]], labels: Sequence[int]) -> list[int
 
 def _face_of(mask: int, labels: Sequence[int]) -> Face:
     return Face._unsafe(tuple(labels[b] for b in _bits(mask)))
+
+
+def _count_faces(masks: Iterable[int], limit: int) -> int:
+    """Distinct faces (∅ included) under the facets, counted up to limit + 1."""
+    seen: set[int] = set()
+    for f in masks:
+        s = f
+        while True:  # every submask of f, f itself first and 0 last
+            seen.add(s)
+            if len(seen) > limit:
+                return len(seen)
+            if not s:
+                break
+            s = (s - 1) & f
+    return len(seen)
 
 
 def _link_masks(masks: Iterable[int], face: int) -> list[int]:

@@ -11,7 +11,12 @@ Two certification strategies:
   attain the shadow bound.  If the facet family is all k-subsets of the
   vertex set, any vertex sheds; otherwise a witness vertex found by the
   counting dichotomy is guaranteed to keep both the link and the deletion
-  extremal, so the recursion never backtracks.
+  extremal, so the recursion never backtracks.  A cone point (a vertex
+  in every facet) has its link equal to its deletion, so its split holds
+  one subtree as both children: a single n-vertex facet certifies with n
+  distinct nodes, not 2^n - 1.  Certificate format 1 writes a shared
+  subtree out in full under each parent, so its documents still have
+  2^n - 1 nodes.
 * ``EXHAUSTIVE`` tries every vertex, memoizing on the order-preserving
   canonical form of each subcomplex.
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _compact, _union
-from .complexes import _deletion_masks, _link_masks, _maximal
+from .complexes import _deletion_masks, _intersection, _link_masks, _maximal
 from .errors import LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
 
@@ -67,9 +72,11 @@ DecompositionTree = Union[Empty, EmptyFace, Point, Split]
 
 
 def tree_depth(tree: DecompositionTree) -> int:
-    if isinstance(tree, Split):
-        return 1 + max(tree_depth(tree.link), tree_depth(tree.deletion))
-    return 0
+    if not isinstance(tree, Split):
+        return 0
+    if tree.deletion is tree.link:
+        return 1 + tree_depth(tree.link)
+    return 1 + max(tree_depth(tree.link), tree_depth(tree.deletion))
 
 
 @dataclass(frozen=True)
@@ -150,11 +157,13 @@ def _certify_extremal(labels, masks) -> DecompositionTree:
     # no witness means the facets are all k-subsets of the vertex set and
     # any vertex sheds; take the smallest either way
     x = next(_bits(_union(masks))) if hit is None else hit[0]
-    return Split(
-        vertex=labels[x],
-        link=_certify_extremal(labels, _link_masks(masks, 1 << x)),
-        deletion=_certify_extremal(labels, _deletion_masks(masks, 1 << x)),
-    )
+    bit = 1 << x
+    link = _certify_extremal(labels, _link_masks(masks, bit))
+    if _intersection(masks) & bit:
+        # a cone point: its deletion is its link, so one subtree serves both
+        return Split(vertex=labels[x], link=link, deletion=link)
+    deletion = _certify_extremal(labels, _deletion_masks(masks, bit))
+    return Split(vertex=labels[x], link=link, deletion=deletion)
 
 
 def _certify_exhaustive(labels, masks, memo):

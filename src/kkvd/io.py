@@ -9,7 +9,9 @@ an intermediate value).
 Certificates are JSON documents with a top-level ``format`` version, the
 ``facets`` of the certified complex, the ``strategy`` that produced the
 tree, and the ``tree`` itself with node kinds ``empty``, ``emptyface``,
-``point``, and ``split``.
+``point``, and ``split``.  A subtree that a split holds as both children
+(at a cone point) becomes one node dict under both keys; ``json.dumps``
+writes it out in full under each, so the text is the plain format-1 tree.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ def tree_to_node(tree: DecompositionTree) -> dict:
         return {"kind": "emptyface"}
     if isinstance(tree, Point):
         return {"kind": "point", "vertex": tree.vertex}
+    link = tree_to_node(tree.link)
+    shared = tree.deletion is tree.link
     return {
         "kind": "split",
         "vertex": tree.vertex,
-        "link": tree_to_node(tree.link),
-        "deletion": tree_to_node(tree.deletion),
+        "link": link,
+        "deletion": link if shared else tree_to_node(tree.deletion),
     }
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,35 @@ def test_shell_facet_limit_exits_2(tmp_path, capsys):
     f = tmp_path / "many.txt"
     f.write_text("".join(f"{i} {i+1}\n" for i in range(1, 11)))
     assert main(["shell", str(f), "--facet-limit", "8"]) == 2
+
+
+# ---------------------------------------------------------------- adversarial inputs
+
+# Left out: `analyze`, whose f-vector enumerates all 2^n faces of the facet,
+# and `vd --json/--cert`, whose format-1 certificate has 2^n - 1 nodes.
+ADVERSARIAL_ARGV = [
+    ["vd"],
+    ["reisner", "--field", "gf2"],
+    ["reisner", "--field", "q"],
+    ["betti", "--field", "gf2"],
+    ["betti", "--field", "q"],
+    ["shell"],
+]
+
+
+@pytest.mark.parametrize("n", [22, 40, 64])
+def test_single_large_facet_ends_quickly(n, tmp_path, capsys):
+    f = tmp_path / f"facet{n}.txt"
+    f.write_text(" ".join(str(v) for v in range(1, n + 1)) + "\n")
+    for command, *flags in ADVERSARIAL_ARGV:
+        start = time.perf_counter()
+        code = main([command, str(f), *flags])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert elapsed < 1.0, (command, flags, elapsed)
+        assert code in (0, 1, 2), (command, flags)
+        if code == 2:
+            assert "budget" in err, (command, flags, err)
 
 
 # ---------------------------------------------------------------- pipes

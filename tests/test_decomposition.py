@@ -79,6 +79,24 @@ def test_single_simplex_is_decomposable(k):
     assert validate_certificate(c, report.tree)
 
 
+def test_cone_points_share_one_subtree():
+    # every vertex of a single facet is a cone point, whose link is its
+    # deletion: 39 splits and one point instead of 2^40 - 1 nodes
+    report = certify_vd(make_complex([tuple(range(1, 41))]))
+    distinct = {}
+    stack = [report.tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct[id(node)] = node
+            if isinstance(node, Split):
+                assert node.link is node.deletion
+                stack += [node.link, node.deletion]
+    splits = [n for n in distinct.values() if isinstance(n, Split)]
+    assert (len(distinct), len(splits)) == (40, 39)
+    assert tree_depth(report.tree) == 39
+
+
 def test_base_cases():
     assert certify_vd(make_complex([])).tree == Empty()
     assert certify_vd(make_complex([()])).tree == EmptyFace()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -174,6 +175,34 @@ def test_projective_plane_profiles(projective_plane):
     assert betti_oracle(projective_plane, rational=False) == [0, 0, 1, 1]
 
 
+def with_apex(c):
+    """The cone over c: one new vertex added to every facet."""
+    apex = max(c.vertex_set) + 1
+    return make_complex([f.vertices + (apex,) for f in c.facets])
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_cones_are_acyclic_against_oracle(field):
+    rng = random.Random(61)
+    for _ in range(40):
+        cone = with_apex(random_complex(rng, max_vertices=7, max_faces=5))
+        profile = reduced_betti(cone, field)
+        assert list(profile.reduced) == [0] * (cone.dimension + 2)
+        assert list(profile.reduced) == betti_oracle(cone, rational=field is Q)
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+@pytest.mark.parametrize(
+    "facets",
+    [[()], [(1, 2), (1, 3), (2, 3)], RP2_FACETS],
+    ids=["empty-face", "hollow-triangle", "rp2"],
+)
+def test_non_cones_keep_their_homology(facets, field):
+    # {∅} has facet mask 0, which no vertex lies in: b_{-1} stays 1
+    c = make_complex(facets)
+    assert list(reduced_betti(c, field).reduced) == betti_oracle(c, rational=field is Q)
+
+
 # ---------------------------------------------------------------- reisner
 
 
@@ -209,6 +238,23 @@ def test_violations_report_original_faces():
 def test_face_budget(projective_plane):
     with pytest.raises(BudgetExceeded):
         reisner_cm_check(projective_plane, Q, face_budget=10)
+
+
+def test_face_budget_counts_the_empty_face():
+    # a 4-vertex facet has 2^4 = 16 faces, ∅ included
+    c = make_complex([(1, 2, 3, 4)])
+    assert reisner_cm_check(c, Q, face_budget=16).is_cm
+    refusal = "more than 15 faces, over the budget of 15"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        reisner_cm_check(c, Q, face_budget=15)
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_face_budget_stops_counting_on_a_large_facet(field):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="budget"):
+        reisner_cm_check(make_complex([tuple(range(1, 65))]), field)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reisner_requires_faces():

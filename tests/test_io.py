@@ -1,8 +1,19 @@
 import json
+import random
 
 import pytest
 
-from kkvd import Face, Strategy, certify_vd, make_complex, segment
+from kkvd import (
+    EmptyFace,
+    Face,
+    Point,
+    Split,
+    Strategy,
+    certify_vd,
+    make_complex,
+    segment,
+    validate_certificate,
+)
 from kkvd.errors import ParseError
 from kkvd.io import (
     certificate_document,
@@ -12,6 +23,8 @@ from kkvd.io import (
     parse_facets,
     tree_to_node,
 )
+
+from oracles import random_family
 
 
 def test_parse_basic_file():
@@ -61,6 +74,47 @@ def test_tree_node_encoding_kinds():
     }
     assert node_to_tree(node) == tree
     assert node_to_tree({"kind": "empty"}) == Empty()
+
+
+def expanded_node(tree) -> dict:
+    """The format-1 node of a tree, built node by node with nothing shared."""
+    if isinstance(tree, Split):
+        return {
+            "kind": "split",
+            "vertex": tree.vertex,
+            "link": expanded_node(tree.link),
+            "deletion": expanded_node(tree.deletion),
+        }
+    if isinstance(tree, Point):
+        return {"kind": "point", "vertex": tree.vertex}
+    return {"kind": "emptyface" if isinstance(tree, EmptyFace) else "empty"}
+
+
+def test_shared_subtrees_serialize_in_full():
+    rng = random.Random(67)
+    complexes = [make_complex([tuple(range(1, n + 1))]) for n in range(1, 11)]
+    for _ in range(80):
+        # a cone over random k-sets on 2..8, its apex 1 scanned first
+        k = rng.randint(1, 3)
+        base = random_family(rng, k, rng.randint(k, 7), rng.randint(1, 6))
+        complexes.append(make_complex([(1, *(v + 1 for v in f)) for f in base]))
+    shared = 0
+    for c in complexes:
+        report = certify_vd(c)
+        tree = report.tree
+        if tree is None:
+            continue
+        shared += isinstance(tree, Split) and tree.link is tree.deletion
+        doc = certificate_document(c.facets, report.strategy_used, tree)
+        expected = {
+            "format": 1,
+            "facets": [list(f.vertices) for f in c.facets],
+            "strategy": report.strategy_used.value,
+            "tree": expanded_node(tree),
+        }
+        assert json.dumps(doc, indent=2) == json.dumps(expected, indent=2)
+        assert validate_certificate(c, tree)
+    assert shared >= 40
 
 
 @pytest.mark.parametrize(
