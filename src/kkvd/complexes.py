@@ -9,12 +9,14 @@ deletions are then word operations.
 
 The helpers below are the one copy of each mask operation: set bits,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
-the only place labels get renumbered), faces to masks and back, a face
-count that stops past a limit, link and deletion.  The recursions of
-:mod:`kkvd.decomposition` run on them directly and build no complex per
-node.  :class:`Face` and :class:`FaceFamily` exist only at the
-edges: the public API and parsing and formatting.  All public output is
-in terms of the original labels.
+the only place labels get renumbered), faces to masks and back, the one
+face enumerator (:func:`_faces_of_size`, ascending masks in squashed
+order), a face count that stops past a limit, link and deletion.  The
+f-vector enumerates only a cone's base, then adds each cone point by
+f_i += f_{i-1}.  The recursions of :mod:`kkvd.decomposition` run on them
+directly and build no complex per node.  :class:`Face` and
+:class:`FaceFamily` exist only at the edges: the public API and parsing
+and formatting.  All public output is in terms of the original labels.
 """
 
 from __future__ import annotations
@@ -149,6 +151,14 @@ class FaceFamily:
         )
         self._size = size
 
+    @classmethod
+    def _unsafe(cls, faces: list[Face], size: int) -> "FaceFamily":
+        # internal: caller guarantees distinct faces of this size in squashed
+        # order; a list, as growing a tuple from a generator raised peak RSS
+        fam = object.__new__(cls)
+        fam._faces, fam._size = tuple(faces), size
+        return fam
+
     @property
     def uniform_size(self) -> int | None:
         """Common cardinality of the members; None for an undeclared empty family."""
@@ -242,6 +252,17 @@ def _masks_of(faces: Iterable[Iterable[int]], labels: Sequence[int]) -> list[int
 
 def _face_of(mask: int, labels: Sequence[int]) -> Face:
     return Face._unsafe(tuple(labels[b] for b in _bits(mask)))
+
+
+def _faces_of_size(masks: Iterable[int], k: int) -> list[int]:
+    """The distinct k-vertex faces (∅ alone for k = 0) as ascending masks,
+    which is squashed order: max(A △ B) is in B exactly when A < B."""
+    seen: set[int] = set()
+    for fm in masks:
+        # a sum of distinct single bits is their union
+        singles = [1 << b for b in _bits(fm)]
+        seen.update(map(sum, itertools.combinations(singles, k)))
+    return sorted(seen)
 
 
 def _count_faces(masks: Iterable[int], limit: int) -> int:
@@ -369,36 +390,31 @@ class SimplicialComplex:
         d = self.dimension
         if d is None or i > d or i < -1:
             raise OutOfRange(f"dimension {i} out of range for {self!r}")
-        if i == -1:
-            return FaceFamily([Face()])
-        seen: set[int] = set()
-        for fm in self._facet_masks:
-            # a sum of distinct single bits is their union
-            singles = [1 << b for b in _bits(fm)]
-            seen.update(map(sum, itertools.combinations(singles, i + 1)))
-        return FaceFamily([_face_of(m, self._labels) for m in seen], size=i + 1)
+        masks = _faces_of_size(self._facet_masks, i + 1)
+        return FaceFamily._unsafe([_face_of(m, self._labels) for m in masks], i + 1)
 
     def all_faces(self) -> Iterator[Face]:
         """Every face including ∅, by dimension then squashed order."""
         d = self.dimension
-        if d is None:
-            return
-        for i in range(-1, d + 1):
+        for i in range(-1, -1 if d is None else d + 1):
             yield from self.faces_of_dim(i)
 
     def face_count(self) -> int:
         """Total number of faces including the empty face."""
-        d = self.dimension
-        if d is None:
-            return 0
-        return sum(len(self.faces_of_dim(i)) for i in range(-1, d + 1))
+        return 0 if self.dimension is None else 1 + sum(self.f_vector())
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_d); empty tuple for ``{∅}``."""
         d = self.dimension
         if d is None:
             raise EmptyComplex("f-vector undefined for the empty complex")
-        return tuple(len(self.faces_of_dim(i)) for i in range(d + 1))
+        cone = _intersection(self._facet_masks)
+        base = [m & ~cone for m in self._facet_masks]
+        # (f_-1, f_0, ...) of the base, then one cone point at a time
+        f = [len(_faces_of_size(base, k)) for k in range(d + 2 - cone.bit_count())]
+        for _ in range(cone.bit_count()):
+            f = [a + b for a, b in zip(f + [0], [0] + f)]
+        return tuple(f[1:])
 
     def facet_family(self) -> FaceFamily:
         """The facets as a uniform family; requires a pure complex."""

@@ -2,8 +2,11 @@
 
 The chain complex is augmented: the empty face spans degree -1, so the
 degree-0 boundary matrix is the all-ones augmentation row and the computed
-Betti numbers are reduced.  Ranks are exact in both fields: GF(2) rows are
-bit-packed integers eliminated by xor, rational ranks come from
+Betti numbers are reduced.  Boundary matrices come from face masks: rows
+are indexed by mask, and column m has (-1)^j at row m minus its j-th bit.
+f_i is read off the column count of d_i, so reduced_betti enumerates
+each dimension at most twice.  Ranks are exact in both fields: GF(2) rows
+are bit-packed integers eliminated by xor, rational ranks come from
 fraction-free elimination over the integers (divisions are postponed and
 always exact, so no rounding ever happens).
 
@@ -25,7 +28,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex, _count_faces, _intersection
+from .complexes import Face, SimplicialComplex
+from .complexes import _bits, _count_faces, _faces_of_size, _intersection
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
@@ -44,14 +48,14 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
     d = c.dimension
     if d is None or i < 0 or i > d:
         raise OutOfRange(f"boundary index {i} out of range for {c!r}")
-    rows = list(c.faces_of_dim(i - 1))
-    cols = list(c.faces_of_dim(i))
-    row_index = {f: r for r, f in enumerate(rows)}
+    rows = _faces_of_size(c._facet_masks, i)
+    cols = _faces_of_size(c._facet_masks, i + 1)
+    row_index = {m: r for r, m in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
+    for j, m in enumerate(cols):
         sign = 1
-        for v in face.vertices:
-            matrix[row_index[face.without(v)]][j] = sign
+        for b in _bits(m):
+            matrix[row_index[m ^ (1 << b)]][j] = sign
             sign = -sign
     return matrix
 
@@ -110,12 +114,6 @@ def rank_rational(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _rank(matrix: list[list[int]], field: CoefficientField) -> int:
-    if field is CoefficientField.GF2:
-        return rank_gf2(matrix)
-    return rank_rational(matrix)
-
-
 @dataclass(frozen=True)
 class BettiProfile:
     """Reduced Betti numbers b_{-1}, b_0, ..., b_d of a nonempty complex."""
@@ -135,22 +133,22 @@ class BettiProfile:
 def reduced_betti(
     c: SimplicialComplex, field: CoefficientField = CoefficientField.RATIONALS
 ) -> BettiProfile:
-    """Reduced Betti numbers from boundary ranks: b_i = dim ker d_i - rank d_{i+1}."""
+    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}."""
     d = c.dimension
     if d is None:
         raise EmptyComplex("homology undefined for the empty complex")
     if _intersection(c._facet_masks):
         # a cone is contractible, so its reduced homology vanishes
         return BettiProfile(reduced=(0,) * (d + 2), field=field)
-    face_counts = [len(c.faces_of_dim(i)) for i in range(-1, d + 1)]
-    ranks = [_rank(boundary_matrix(c, i), field) for i in range(0, d + 1)]
-    ranks.append(0)  # no boundaries arrive from degree d+1
-    betti = []
-    for i in range(-1, d + 1):
-        kernel = face_counts[i + 1] - (ranks[i] if i >= 0 else 0)
-        if i == -1:
-            kernel = 1  # the empty face spans degree -1 and maps to zero
-        betti.append(kernel - ranks[i + 1])
+    rank = rank_gf2 if field is CoefficientField.GF2 else rank_rational
+    f, r = [], []
+    for i in range(d + 1):
+        matrix = boundary_matrix(c, i)  # rows hold the (i-1)-faces, never none
+        f.append(len(matrix[0]))
+        r.append(rank(matrix))
+    r.append(0)  # no boundaries arrive from degree d+1
+    # the empty face spans degree -1 and maps to zero
+    betti = [1 - r[0]] + [f[i] - r[i] - r[i + 1] for i in range(d + 1)]
     return BettiProfile(reduced=tuple(betti), field=field)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import Face
+from .complexes import MAX_VERTICES, Face
 from .decomposition import (
     DecompositionTree,
     Empty,
@@ -75,7 +75,13 @@ def tree_to_node(tree: DecompositionTree) -> dict:
     }
 
 
-def node_to_tree(node: object) -> DecompositionTree:
+def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
+    """The tree of a certificate node; `depth` counts the splits above it.
+
+    Each split uses up its vertex, so no valid tree nests more than
+    MAX_VERTICES splits; deeper documents are refused before recursion can
+    run out of stack.
+    """
     if not isinstance(node, dict) or "kind" not in node:
         raise ParseError(f"certificate node must be an object with a kind: {node!r}")
     kind = node["kind"]
@@ -88,10 +94,12 @@ def node_to_tree(node: object) -> DecompositionTree:
     if kind == "split":
         if "link" not in node or "deletion" not in node:
             raise ParseError("split node needs link and deletion children")
+        if depth == MAX_VERTICES:
+            raise ParseError(f"certificate nests more than {MAX_VERTICES} splits")
         return Split(
             vertex=_vertex_of(node),
-            link=node_to_tree(node["link"]),
-            deletion=node_to_tree(node["deletion"]),
+            link=node_to_tree(node["link"], depth + 1),
+            deletion=node_to_tree(node["deletion"], depth + 1),
         )
     raise ParseError(f"unknown certificate node kind {kind!r}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .complexes import Face, FaceFamily, SimplicialComplex
 from .complexes import _bits, _face_of, _masks_of, _union
@@ -63,28 +63,23 @@ def colex_unrank(rank: int, k: int) -> Face:
     if rank < 0:
         raise InvalidInput(f"rank must be >= 0, got {rank}")
     _checked(rank, "rank")
-    labels = []
-    rem = rank
-    for j in range(k, 0, -1):
-        c = _largest_binomial_at_most(rem, j)
-        labels.append(c + 1)
-        rem -= math.comb(c, j)
-    return Face(*labels)
+    top = [a + 1 for a, _ in _greedy(rank, k)]
+    return Face(*top, *range(1, k - len(top) + 1))  # past the last step a_j = j - 1
 
 
-def _largest_binomial_at_most(bound: int, j: int) -> int:
-    """Largest c with C(c, j) <= bound (c >= j-1 always qualifies)."""
-    lo, hi = j - 1, j
-    while math.comb(hi, j) <= bound:
-        lo, hi = hi, hi * 2
-    # invariant: comb(lo, j) <= bound < comb(hi, j)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.comb(mid, j) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _greedy(rem: int, k: int) -> Iterator[tuple[int, int]]:
+    """(a_j, j) for j = k, k-1, ... while rem > 0: C(a_j, j) <= rem < C(a_j + 1, j)."""
+    j = k
+    while rem:  # at j = 1, a_1 = rem spends the rest
+        lo, hi = j - 1, j  # C(j-1, j) = 0 always qualifies
+        while math.comb(hi, j) <= rem:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:  # invariant: C(lo, j) <= rem < C(hi, j)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, j) <= rem else (lo, mid)
+        yield lo, j
+        rem -= math.comb(lo, j)
+        j -= 1
 
 
 def segment(k: int, n: int) -> FaceFamily:
@@ -169,17 +164,8 @@ def cascade_rep(n: int, k: int) -> CascadeRep:
     if k < 1:
         raise InvalidInput(f"cascade undefined for k={k}")
     _checked(n, "n")
-    terms = []
-    rem = n
-    for j in range(k, 0, -1):
-        if rem == 0:
-            break
-        a = _largest_binomial_at_most(rem, j)
-        # greedy keeps a_j >= j and strictly decreasing, which is exactly
-        # the uniqueness condition
-        terms.append((a, j))
-        rem -= math.comb(a, j)
-    return CascadeRep(tuple(terms))
+    # greedy keeps a_j >= j and strictly decreasing: the uniqueness condition
+    return CascadeRep(tuple(_greedy(n, k)))
 
 
 def delta(n: int, k: int) -> int:

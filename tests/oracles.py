@@ -1,8 +1,8 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code path with the
-package: squashed order by sorting, shadows by itertools, ranks by
-Fraction Gaussian elimination and by set-xor elimination over GF(2).
+package: squashed order by sorting, shadows and faces by itertools, ranks
+by Fraction Gaussian elimination and by set-xor elimination over GF(2).
 """
 
 from __future__ import annotations
@@ -80,28 +80,42 @@ def rank_gf2_sets(matrix) -> int:
     return rank
 
 
+def face_levels(c) -> list[list[tuple[int, ...]]]:
+    """Faces by size 0..d+1 from the facets by itertools, each in squashed order."""
+    faces = sorted(brute_faces(f.vertices for f in c.facets), key=lambda t: t[::-1])
+    return [[f for f in faces if len(f) == k] for k in range(c.dimension + 2)]
+
+
+def boundary_oracle(c, i: int) -> list[list[int]]:
+    """The augmented boundary matrix of degree i, from tuples of labels.
+
+    Rows are the (i-1)-faces and columns the i-faces, both in squashed
+    order; the entry for dropping the vertex at position p is (-1)^p.
+    """
+    rows, cols = face_levels(c)[i : i + 2]
+    row_index = {f: r for r, f in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for j, face in enumerate(cols):
+        for pos, v in enumerate(face):
+            sub = tuple(x for x in face if x != v)
+            mat[row_index[sub]][j] = (-1) ** pos
+    return mat
+
+
 def betti_oracle(c, rational: bool) -> list[int]:
     """Reduced Betti numbers recomputed from scratch with the oracle ranks.
 
-    Builds its own augmented boundary matrices from the face lists, so only
-    the face enumeration of the library is shared.
+    Faces come from the facets by itertools and matrices from
+    :func:`boundary_oracle`, so no face enumeration of the library is shared.
     """
     d = c.dimension
     assert d is not None
-    levels = []
-    for i in range(-1, d + 1):
-        levels.append(sorted(f.vertices for f in c.faces_of_dim(i)))
+    levels = face_levels(c)
     rank_fn = rank_fraction if rational else rank_gf2_sets
     ranks = []
     for i in range(0, d + 1):
-        rows, cols = levels[i], levels[i + 1]
-        row_index = {tuple(f): r for r, f in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for j, face in enumerate(cols):
-            for pos, v in enumerate(face):
-                sub = tuple(x for x in face if x != v)
-                mat[row_index[sub]][j] = (-1) ** pos
-        ranks.append(rank_fn(mat) if rows and cols else 0)
+        mat = boundary_oracle(c, i)
+        ranks.append(rank_fn(mat) if mat and mat[0] else 0)
     ranks.append(0)
     betti = []
     for i in range(-1, d + 1):

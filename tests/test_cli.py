@@ -187,9 +187,10 @@ def test_shell_facet_limit_exits_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------- adversarial inputs
 
-# Left out: `analyze`, whose f-vector enumerates all 2^n faces of the facet,
-# and `vd --json/--cert`, whose format-1 certificate has 2^n - 1 nodes.
+# Left out: `vd --json/--cert`, whose format-1 certificate has 2^n - 1 nodes.
 ADVERSARIAL_ARGV = [
+    ["analyze"],
+    ["analyze", "--json"],
     ["vd"],
     ["reisner", "--field", "gf2"],
     ["reisner", "--field", "q"],

@@ -171,7 +171,7 @@ def test_f_vector_of_empty_face_complex_is_empty_tuple():
     assert make_complex([()]).f_vector() == ()
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", [*range(1, 7), 22, 40, 64])
 def test_f_vector_of_simplex_is_binomial_row(k):
     import math
 

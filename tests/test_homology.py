@@ -18,7 +18,14 @@ from kkvd import (
 )
 from kkvd.errors import BudgetExceeded, EmptyComplex, KKError, OutOfRange
 
-from oracles import betti_oracle, random_complex, rank_fraction, rank_gf2_sets
+from oracles import (
+    betti_oracle,
+    boundary_oracle,
+    face_levels,
+    random_complex,
+    rank_fraction,
+    rank_gf2_sets,
+)
 
 GF2 = CoefficientField.GF2
 Q = CoefficientField.RATIONALS
@@ -201,6 +208,22 @@ def test_non_cones_keep_their_homology(facets, field):
     # {∅} has facet mask 0, which no vertex lies in: b_{-1} stays 1
     c = make_complex(facets)
     assert list(reduced_betti(c, field).reduced) == betti_oracle(c, rational=field is Q)
+
+
+def test_boundary_matrices_and_f_vectors_match_oracle():
+    # half the complexes are cones: 1-3 new vertices added to every facet
+    rng = random.Random(67)
+    for t in range(200):
+        c = random_complex(rng, max_vertices=7, max_faces=5)
+        if t % 2:
+            top = max(c.vertex_set)
+            apex = tuple(range(top + 1, top + 1 + rng.randint(1, 3)))
+            c = make_complex([f.vertices + apex for f in c.facets])
+        for i in range(c.dimension + 1):
+            assert boundary_matrix(c, i) == boundary_oracle(c, i), (c, i)
+        levels = face_levels(c)
+        assert c.f_vector() == tuple(len(level) for level in levels[1:]), c
+        assert c.face_count() == sum(map(len, levels)), c
 
 
 # ---------------------------------------------------------------- reisner

@@ -144,3 +144,28 @@ def test_shared_subtrees_serialize_in_full():
 def test_certificate_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_certificate(doc)
+
+
+def split_chain(depth: int) -> dict:
+    """A tree document of `depth` nested splits, built without recursion."""
+    node = {"kind": "point", "vertex": depth + 1}
+    for v in range(depth, 0, -1):
+        empty = {"kind": "empty"}
+        node = {"kind": "split", "vertex": v, "link": node, "deletion": empty}
+    return node
+
+
+def test_chain_of_max_vertices_splits_parses():
+    tree = node_to_tree(split_chain(64))
+    for v in range(1, 65):
+        assert isinstance(tree, Split) and tree.vertex == v
+        tree = tree.link
+    assert tree == Point(vertex=65)
+
+
+@pytest.mark.parametrize("depth", [65, 3000])
+def test_deeply_nested_certificate_is_a_parse_error(depth):
+    tree = split_chain(depth)
+    doc = {"format": 1, "facets": [[1]], "strategy": "auto", "tree": tree}
+    with pytest.raises(ParseError, match="nests more than 64 splits"):
+        parse_certificate(doc)
