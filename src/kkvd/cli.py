@@ -9,7 +9,7 @@ output; there is no randomness anywhere in the command paths.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +19,7 @@ from .complexes import FaceFamily, SimplicialComplex, make_complex
 from .decomposition import Strategy, certify_vd, find_shelling
 from .errors import KKError, ParseError
 from .homology import CoefficientField, reduced_betti, reisner_cm_check
-from .io import certificate_document, format_facets, parse_facets
+from .io import certificate_document, format_facets, parse_facets, write_json
 from .kruskal_katona import delta, segment, segment_avoiding, shadow
 
 
@@ -81,7 +81,8 @@ def _load_family(path: str) -> FaceFamily:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    write_json(doc, sys.stdout)
+    sys.stdout.write("\n")
 
 
 def _field(name: str) -> CoefficientField:
@@ -124,7 +125,9 @@ def cmd_vd(args: argparse.Namespace) -> int:
         if args.cert or args.json:
             doc = certificate_document(c.facets, report.strategy_used, report.tree)
         if args.cert:
-            Path(args.cert).write_text(json.dumps(doc, indent=2) + "\n")
+            with Path(args.cert).open("w") as fp:
+                write_json(doc, fp)
+                fp.write("\n")
         if args.json:
             _print_json(
                 {
@@ -245,7 +248,9 @@ def cmd_shell(args: argparse.Namespace) -> int:
     return 0 if order is not None else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kkvd",
         description=(

@@ -11,10 +11,11 @@ The helpers below are the one copy of each mask operation: set bits,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
 the only place labels get renumbered), faces to masks and back, the one
 face enumerator (:func:`_faces_of_size`, ascending masks in squashed
-order), a face count that stops past a limit, link and deletion.  The
-f-vector enumerates only a cone's base, then adds each cone point by
-f_i += f_{i-1}.  The recursions of :mod:`kkvd.decomposition` run on them
-directly and build no complex per node.  :class:`Face` and
+order), a face count that stops past a limit, the shadow, link and
+deletion (through the shadow when the complex is pure, with no maximal
+filter).  The f-vector enumerates only a cone's base, then adds each cone
+point by f_i += f_{i-1}.  The recursions of :mod:`kkvd.decomposition` run
+on them directly and build no complex per node.  :class:`Face` and
 :class:`FaceFamily` exist only at the edges: the public API and parsing
 and formatting.  All public output is in terms of the original labels.
 """
@@ -285,9 +286,31 @@ def _link_masks(masks: Iterable[int], face: int) -> list[int]:
     return [f & ~face for f in masks if f & face == face]
 
 
-def _deletion_masks(masks: Iterable[int], bit: int) -> list[int]:
-    """Facets of the deletion of a vertex."""
-    return _maximal(f & ~bit for f in masks)
+def _shadow_masks(masks: Iterable[int]) -> set[int]:
+    """Every mask with one bit fewer than some given mask."""
+    out: set[int] = set()
+    # the hottest loop in the package: over _bits it ran 1.6-1.9x slower
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            out.add(m ^ low)
+            rest ^= low
+    return out
+
+
+def _deletion_masks(masks: Sequence[int], bit: int) -> list[int]:
+    """Facets of the deletion of a vertex.
+
+    In a pure complex the facets avoiding the vertex stay, and F - x, one
+    size smaller, is a facet exactly when it lies in none of them, that is
+    when it is not in their shadow.
+    """
+    if len({f.bit_count() for f in masks}) > 1:
+        return _maximal(f & ~bit for f in masks)
+    kept = [f for f in masks if not f & bit]
+    covered = _shadow_masks(kept)
+    return kept + [f ^ bit for f in masks if f & bit and f ^ bit not in covered]
 
 
 class SimplicialComplex:

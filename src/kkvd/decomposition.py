@@ -8,30 +8,43 @@ the link of any facet and the recursion has to bottom out there.
 Two certification strategies:
 
 * ``EXTREMAL`` exploits the Kruskal-Katona structure of complexes that
-  attain the shadow bound.  If the facet family is all k-subsets of the
-  vertex set, any vertex sheds; otherwise a witness vertex found by the
-  counting dichotomy is guaranteed to keep both the link and the deletion
-  extremal, so the recursion never backtracks.  A cone point (a vertex
-  in every facet) has its link equal to its deletion, so its split holds
-  one subtree as both children: a single n-vertex facet certifies with n
-  distinct nodes, not 2^n - 1.  Certificate format 1 writes a shared
-  subtree out in full under each parent, so its documents still have
-  2^n - 1 nodes.
+  attain the shadow bound.  A *complete* family, all k-subsets of its
+  support (``len(masks) == C(|support|, k)``), is extremal and any vertex
+  sheds, so the smallest does, with no shadow and no witness scan;
+  otherwise a witness vertex found by the counting dichotomy is
+  guaranteed to keep both the link and the deletion extremal, so the
+  recursion never backtracks.  One call memoizes the recursion on the
+  sorted facet masks, which are never compacted, so a subcomplex reached
+  twice is certified once and both parents hold the same subtree object.
+  The guard that a node attains the shadow bound runs once per distinct
+  non-complete node.  A cone point (a vertex in every facet) has its link
+  equal to its deletion, so a single n-vertex facet certifies with n
+  distinct nodes, not 2^n - 1, and a complete family sheds into suffix
+  families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
+  writes a shared subtree out in full under each parent, so its documents
+  still have 2^n - 1 nodes for an n-vertex facet.
 * ``EXHAUSTIVE`` tries every vertex, memoizing on the order-preserving
   canonical form of each subcomplex.
 
 Verdicts are deterministic: vertex scans ascend, and a failure reports the
 first failing path in smallest-vertex order.
+
+Trees compare and hash by structure.  ``Split`` caches its hash and
+compares shared children by identity first, and validation replays each
+(node, subcomplex) pair once, so each costs O(distinct nodes), not the
+size of the tree written out in full.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _compact, _union
-from .complexes import _deletion_masks, _intersection, _link_masks, _maximal
+from .complexes import _deletion_masks, _link_masks, _maximal
 from .errors import LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
 
@@ -59,24 +72,65 @@ class Point:
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
-    """Shed `vertex`; children certify its link and its deletion."""
+    """Shed `vertex`; children certify its link and its deletion.
+
+    Equality and hashing are structural, as for the other nodes, but cost
+    O(distinct nodes) on a tree that shares subtrees.
+    """
 
     vertex: int
     link: "DecompositionTree"
     deletion: "DecompositionTree"
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.vertex, self.link, self.deletion))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_tree(self, other, set())
+
 
 DecompositionTree = Union[Empty, EmptyFace, Point, Split]
 
 
+def _same_tree(a, b, equal_pairs: set[tuple[int, int]]) -> bool:
+    """Structural equality; `equal_pairs` holds the id pairs of splits found equal."""
+    if a is b:
+        return True
+    if not (isinstance(a, Split) and isinstance(b, Split)):
+        return a == b
+    if (id(a), id(b)) in equal_pairs:
+        return True
+    if a.vertex != b.vertex:
+        return False
+    if not (
+        _same_tree(a.link, b.link, equal_pairs)
+        and _same_tree(a.deletion, b.deletion, equal_pairs)
+    ):
+        return False
+    equal_pairs.add((id(a), id(b)))
+    return True
+
+
 def tree_depth(tree: DecompositionTree) -> int:
-    if not isinstance(tree, Split):
-        return 0
-    if tree.deletion is tree.link:
-        return 1 + tree_depth(tree.link)
-    return 1 + max(tree_depth(tree.link), tree_depth(tree.deletion))
+    """Splits on the longest root-to-leaf path; a shared subtree is measured once."""
+    depths: dict[int, int] = {}
+
+    def depth(t) -> int:
+        if not isinstance(t, Split):
+            return 0
+        if id(t) not in depths:
+            depths[id(t)] = 1 + max(depth(t.link), depth(t.deletion))
+        return depths[id(t)]
+
+    return depth(tree)
 
 
 @dataclass(frozen=True)
@@ -133,7 +187,7 @@ def certify_vd(
             return VDReport(
                 decomposable=True,
                 strategy_used=Strategy.EXTREMAL,
-                tree=_certify_extremal(labels, masks),
+                tree=_certify_extremal(labels, masks, {}),
             )
     tree, path = _certify_exhaustive(labels, masks, {})
     if tree is not None:
@@ -145,25 +199,39 @@ def certify_vd(
     )
 
 
-def _certify_extremal(labels, masks) -> DecompositionTree:
-    """Witness-guided recursion; masks are never compacted, so labels stay fixed."""
+def _certify_extremal(labels, masks, memo) -> DecompositionTree:
+    """Witness-guided recursion; masks are never compacted, so labels stay fixed.
+
+    `memo` maps each sorted mask tuple certified so far to its subtree, so
+    equal subcomplexes (a cone point's link and deletion among them) share
+    one subtree object.
+    """
+    key = tuple(sorted(masks))
+    if key not in memo:
+        memo[key] = _shed_extremal(labels, key, memo)
+    return memo[key]
+
+
+def _shed_extremal(labels, masks, memo) -> DecompositionTree:
     base = _base_tree(labels, masks)
     if base is not None:
         return base
-    if not (_is_pure(masks) and _attains_bound(masks)):
+    support, k = _union(masks), masks[0].bit_count()
+    pure = _is_pure(masks)
+    complete = pure and len(masks) == math.comb(support.bit_count(), k)
+    if not (complete or pure and _attains_bound(masks)):
         # unreachable from certify_vd; guards direct internal misuse
         raise NotExtremal("a subcomplex does not attain the shadow bound")
-    hit = _witness_scan(masks)
-    # no witness means the facets are all k-subsets of the vertex set and
-    # any vertex sheds; take the smallest either way
-    x = next(_bits(_union(masks))) if hit is None else hit[0]
+    hit = None if complete else _witness_scan(masks)
+    # no witness means the facets are all k-subsets of the support and any
+    # vertex sheds; take the smallest either way
+    x = (support & -support).bit_length() - 1 if hit is None else hit[0]
     bit = 1 << x
-    link = _certify_extremal(labels, _link_masks(masks, bit))
-    if _intersection(masks) & bit:
-        # a cone point: its deletion is its link, so one subtree serves both
-        return Split(vertex=labels[x], link=link, deletion=link)
-    deletion = _certify_extremal(labels, _deletion_masks(masks, bit))
-    return Split(vertex=labels[x], link=link, deletion=deletion)
+    return Split(
+        vertex=labels[x],
+        link=_certify_extremal(labels, _link_masks(masks, bit), memo),
+        deletion=_certify_extremal(labels, _deletion_masks(masks, bit), memo),
+    )
 
 
 def _certify_exhaustive(labels, masks, memo):
@@ -224,7 +292,22 @@ def _relabel_tree(tree, back):
 def diagnose_certificate(
     c: SimplicialComplex, tree: DecompositionTree
 ) -> str | None:
-    """None when the tree faithfully decomposes the complex, else the reason."""
+    """None when the tree faithfully decomposes the complex, else the reason.
+
+    Each (node, subcomplex) pair is judged once per call: a node object
+    reused under different subcomplexes is judged against each of them.
+    """
+    return _diagnose(c, tree, {})
+
+
+def _diagnose(c, tree, verdicts) -> str | None:
+    key = (id(tree), c)
+    if key not in verdicts:
+        verdicts[key] = _diagnose_node(c, tree, verdicts)
+    return verdicts[key]
+
+
+def _diagnose_node(c, tree, verdicts) -> str | None:
     if not c.is_pure:
         return f"{c!r} is not pure"
     if isinstance(tree, Empty):
@@ -240,10 +323,10 @@ def diagnose_certificate(
     if isinstance(tree, Split):
         if tree.vertex not in c.vertex_set:
             return f"split vertex {tree.vertex} is not a vertex of {c!r}"
-        sub = diagnose_certificate(c.link(Face(tree.vertex)), tree.link)
+        sub = _diagnose(c.link(Face(tree.vertex)), tree.link, verdicts)
         if sub is not None:
             return f"link of {tree.vertex}: {sub}"
-        sub = diagnose_certificate(c.delete_vertex(tree.vertex), tree.deletion)
+        sub = _diagnose(c.delete_vertex(tree.vertex), tree.deletion, verdicts)
         if sub is not None:
             return f"deletion of {tree.vertex}: {sub}"
         return None

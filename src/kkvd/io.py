@@ -9,14 +9,22 @@ an intermediate value).
 Certificates are JSON documents with a top-level ``format`` version, the
 ``facets`` of the certified complex, the ``strategy`` that produced the
 tree, and the ``tree`` itself with node kinds ``empty``, ``emptyface``,
-``point``, and ``split``.  A subtree that a split holds as both children
-(at a cone point) becomes one node dict under both keys; ``json.dumps``
-writes it out in full under each, so the text is the plain format-1 tree.
+``point``, and ``split``.  A subtree that the tree shares (a cone point's
+link and deletion, or equal subcomplexes reached along different paths)
+becomes one node dict, held wherever the tree holds it; the text writes it
+out in full under each parent, so it is the plain format-1 tree, with
+2^n - 1 nodes for a single n-vertex facet.
+
+:func:`write_json` writes the text of ``json.dumps(doc, indent=2)`` to a
+file piece by piece, in one loop over a stack of open containers, so the
+document's expanded text is never held in memory and the stdlib's slow
+generator-per-level indenting encoder does not run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from typing import Iterable, TextIO
 
 from .complexes import MAX_VERTICES, Face
 from .decomposition import (
@@ -59,20 +67,25 @@ def format_facets(faces: Iterable[Face]) -> str:
 
 
 def tree_to_node(tree: DecompositionTree) -> dict:
+    """The format-1 node of a tree, with one dict per distinct tree node."""
+    return _node(tree, {})
+
+
+def _node(tree: DecompositionTree, nodes: dict[int, dict]) -> dict:
     if isinstance(tree, Empty):
         return {"kind": "empty"}
     if isinstance(tree, EmptyFace):
         return {"kind": "emptyface"}
     if isinstance(tree, Point):
         return {"kind": "point", "vertex": tree.vertex}
-    link = tree_to_node(tree.link)
-    shared = tree.deletion is tree.link
-    return {
-        "kind": "split",
-        "vertex": tree.vertex,
-        "link": link,
-        "deletion": link if shared else tree_to_node(tree.deletion),
-    }
+    if id(tree) not in nodes:
+        nodes[id(tree)] = {
+            "kind": "split",
+            "vertex": tree.vertex,
+            "link": _node(tree.link, nodes),
+            "deletion": _node(tree.deletion, nodes),
+        }
+    return nodes[id(tree)]
 
 
 def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
@@ -140,3 +153,74 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
     except ValueError:
         raise ParseError(f"unknown strategy {doc.get('strategy')!r}")
     return facets, strategy, node_to_tree(doc.get("tree"))
+
+
+#: pieces gathered before each write: a few tens of kilobytes of text
+_PIECES_PER_WRITE = 4096
+_END = object()
+_quote = json.encoder.encode_basestring_ascii
+
+
+def write_json(obj: object, fp: TextIO) -> None:
+    """Write exactly the text of ``json.dumps(obj, indent=2)`` to `fp`.
+
+    Containers are dicts with string keys, lists and tuples; any other
+    value is written as ``json.dumps`` writes it.  A container held in
+    several places is written out in full at each.
+    """
+    pieces: list[str] = []
+    stack: list[tuple] = []  # (items, keyed, separator, closer) per open container
+    keys: dict[str, str] = {}  # key -> its quoted text and ": "
+    value = obj
+    while True:
+        if isinstance(value, dict) and value:
+            items, keyed, opener = iter(value.items()), True, "{"
+        elif isinstance(value, (list, tuple)) and value:
+            items, keyed, opener = iter(value), False, "["
+        else:
+            items = None
+        if items is not None:
+            indent = "\n" + "  " * len(stack)
+            inner = indent + "  "
+            stack.append((items, keyed, "," + inner, indent + ("}" if keyed else "]")))
+            pieces.append(opener + inner)
+            item = next(items)
+        else:
+            pieces.append(_leaf_text(value))
+            # close every container this value finishes
+            while stack:
+                items, keyed, separator, closer = stack[-1]
+                item = next(items, _END)
+                if item is not _END:
+                    pieces.append(separator)
+                    break
+                stack.pop()
+                pieces.append(closer)
+            else:
+                break
+        if keyed:
+            key, value = item
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = _quote(key) + ": "
+            pieces.append(text)
+        else:
+            value = item
+        if len(pieces) >= _PIECES_PER_WRITE:
+            fp.write("".join(pieces))
+            pieces.clear()
+    fp.write("".join(pieces))
+
+
+def _leaf_text(value: object) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)  # floats, empty containers, subclasses

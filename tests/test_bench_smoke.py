@@ -1,4 +1,4 @@
-"""One traced pass of the cli-files and crosscheck-mixed benchmark workloads.
+"""One traced pass of each benchmark workload.
 
 A pass runs every operation of the workload once (for cli-files the
 adversarial single facets included) with its answer checks, and fails if
@@ -27,7 +27,9 @@ def layer_work() -> dict:
     return module.LAYER_WORK
 
 
-@pytest.mark.parametrize("workload", ["cli-files", "crosscheck-mixed"])
+@pytest.mark.parametrize(
+    "workload", ["cli-files", "crosscheck-mixed", "certify-corpus"]
+)
 def test_pass_is_correct_complete_and_traced(workload):
     flags = ["--workload", workload, "--quick", "--trace", "1"]
     proc = subprocess.run(

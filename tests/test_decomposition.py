@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -32,6 +34,19 @@ def walk_splits(c, tree):
         yield c, tree.vertex, link, deletion
         yield from walk_splits(link, tree.link)
         yield from walk_splits(deletion, tree.deletion)
+
+
+def distinct_nodes(tree) -> list:
+    """The node objects of a tree, each shared one once."""
+    seen = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, Split):
+                stack += [node.link, node.deletion]
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------- certify
@@ -83,18 +98,25 @@ def test_cone_points_share_one_subtree():
     # every vertex of a single facet is a cone point, whose link is its
     # deletion: 39 splits and one point instead of 2^40 - 1 nodes
     report = certify_vd(make_complex([tuple(range(1, 41))]))
-    distinct = {}
-    stack = [report.tree]
-    while stack:
-        node = stack.pop()
-        if id(node) not in distinct:
-            distinct[id(node)] = node
-            if isinstance(node, Split):
-                assert node.link is node.deletion
-                stack += [node.link, node.deletion]
-    splits = [n for n in distinct.values() if isinstance(n, Split)]
+    distinct = distinct_nodes(report.tree)
+    splits = [n for n in distinct if isinstance(n, Split)]
+    assert all(n.link is n.deletion for n in splits)
     assert (len(distinct), len(splits)) == (40, 39)
     assert tree_depth(report.tree) == 39
+
+
+def test_complete_families_shed_into_shared_suffix_subtrees():
+    # the smallest vertex of all 4-sets of 1..24 sheds into all 3-sets and
+    # all 4-sets of 2..24, and so on: O(m·k) distinct subcomplexes, each
+    # certified once, where the tree written out in full has about 21,500
+    c = make_complex(itertools.combinations(range(1, 25), 4))
+    start = time.perf_counter()
+    report = certify_vd(c)
+    assert time.perf_counter() - start < 1.0
+    assert report.strategy_used is Strategy.EXTREMAL
+    assert len(distinct_nodes(report.tree)) <= 150
+    assert report.tree.vertex == 1
+    assert validate_certificate(c, report.tree)
 
 
 def test_base_cases():
@@ -202,6 +224,44 @@ def test_verdicts_match_brute_force_oracle():
     assert negatives >= 100
 
 
+# ---------------------------------------------------------------- tree identity
+
+
+def chain_with_last_point(tree, vertex):
+    """A copy of a cone-point chain whose final point names `vertex`."""
+    if not isinstance(tree, Split):
+        return Point(vertex)
+    child = chain_with_last_point(tree.link, vertex)
+    return Split(tree.vertex, child, child)
+
+
+def test_shared_trees_compare_and_hash_in_distinct_nodes():
+    # written out in full these trees have 2^20 - 1 nodes each
+    c = make_complex([tuple(range(1, 21))])
+    a, b = certify_vd(c).tree, certify_vd(c).tree
+    assert a is not b
+    start = time.perf_counter()
+    assert hash(a) == hash(b)
+    assert a == b
+    assert time.perf_counter() - start < 0.01
+    changed = chain_with_last_point(b, 21)
+    start = time.perf_counter()
+    assert a != changed
+    assert time.perf_counter() - start < 0.01
+    assert chain_with_last_point(b, 20) == a
+
+
+def test_split_equality_stays_structural():
+    shared = Point(3)
+    assert Split(1, shared, shared) == Split(1, Point(3), Point(3))
+    assert hash(Split(1, shared, shared)) == hash(Split(1, Point(3), Point(3)))
+    assert Split(1, Point(3), Point(3)) != Split(1, Point(3), Point(4))
+    assert Split(1, Point(4), Point(3)) != Split(1, Point(3), Point(3))
+    assert Split(1, Point(3), Point(3)) != Split(2, Point(3), Point(3))
+    assert Split(1, Point(3), EmptyFace()) != Point(3)
+    assert len({Split(1, Point(2), Empty()), Split(1, Point(2), Empty())}) == 1
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -222,6 +282,31 @@ def test_validate_point_leaf():
     assert validate_certificate(make_complex([(5,)]), Point(5))
     assert not validate_certificate(make_complex([(5,)]), Point(6))
     assert not validate_certificate(make_complex([(5, 6)]), Point(5))
+
+
+def test_validation_replays_each_shared_node_once():
+    c = make_complex([tuple(range(1, 19))])
+    tree = certify_vd(c).tree
+    start = time.perf_counter()
+    assert validate_certificate(c, tree)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_reused_node_is_judged_per_complex():
+    # one node object under a link and a deletion that differ: it is judged
+    # against each complex, not accepted once for both
+    point = Point(2)
+    path = make_complex([(1, 2), (2, 3)])
+    assert diagnose_certificate(path, Split(1, point, point)) == (
+        "deletion of 1: claimed single vertex 2, "
+        "but complex is SimplicialComplex([{2,3}])"
+    )
+    shared = Split(2, Point(3), Point(3))
+    two_triangles = make_complex([(1, 2, 3), (2, 3, 4)])
+    assert diagnose_certificate(two_triangles, Split(1, shared, shared)) == (
+        "deletion of 1: link of 2: claimed single vertex 3, "
+        "but complex is SimplicialComplex([{3,4}])"
+    )
 
 
 def test_validate_checks_vertex_membership():

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import random
 
@@ -14,6 +16,7 @@ from kkvd import (
     segment,
     validate_certificate,
 )
+from kkvd.cli import main
 from kkvd.errors import ParseError
 from kkvd.io import (
     certificate_document,
@@ -22,6 +25,7 @@ from kkvd.io import (
     parse_certificate,
     parse_facets,
     tree_to_node,
+    write_json,
 )
 
 from oracles import random_family
@@ -90,9 +94,12 @@ def expanded_node(tree) -> dict:
     return {"kind": "emptyface" if isinstance(tree, EmptyFace) else "empty"}
 
 
-def test_shared_subtrees_serialize_in_full():
+def test_shared_subtrees_serialize_in_full(tmp_path, capsys):
     rng = random.Random(67)
     complexes = [make_complex([tuple(range(1, n + 1))]) for n in range(1, 11)]
+    # complete families share subtrees between different parents
+    for m, k in ((5, 2), (6, 3), (7, 4), (8, 2)):
+        complexes.append(make_complex(itertools.combinations(range(1, m + 1), k)))
     for _ in range(80):
         # a cone over random k-sets on 2..8, its apex 1 scanned first
         k = rng.randint(1, 3)
@@ -112,9 +119,81 @@ def test_shared_subtrees_serialize_in_full():
             "strategy": report.strategy_used.value,
             "tree": expanded_node(tree),
         }
-        assert json.dumps(doc, indent=2) == json.dumps(expected, indent=2)
+        text = json.dumps(expected, indent=2)
+        assert json.dumps(doc, indent=2) == text
         assert validate_certificate(c, tree)
+        # the CLI streams the same text to the certificate file and stdout
+        facets, cert = tmp_path / "facets.txt", tmp_path / "cert.json"
+        facets.write_text(format_facets(c.facets))
+        assert main(["vd", str(facets), "--cert", str(cert)]) == 0
+        assert cert.read_text() == text + "\n"
+        capsys.readouterr()
+        assert main(["vd", str(facets), "--json"]) == 0
+        answer = {
+            "decomposable": True,
+            "strategy": report.strategy_used.value,
+            "certificate": expected,
+        }
+        assert capsys.readouterr().out == json.dumps(answer, indent=2) + "\n"
     assert shared >= 40
+
+
+class RecordingFile(io.StringIO):
+    """A text file that remembers the length of its longest write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+SHARED = {"kind": "point", "vertex": 3}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        None,
+        True,
+        False,
+        -7,
+        0,
+        "",
+        'a "quoted" \\ string\nwith\tcontrols',
+        "non-ASCII: é ∅ 😀",
+        [[]],
+        [{}],
+        {"a": {}},
+        (1, (2, ())),
+        {
+            "format": 1,
+            "empty": [],
+            "none": None,
+            "flags": [True, False],
+            "negative": [-1, -2**70],
+            "é ∅": {"deep": [[["x", {"y": [None]}]], {}]},
+            "shared": [SHARED, {"again": SHARED}],
+        },
+    ],
+)
+def test_writer_matches_json_dumps(obj):
+    out = io.StringIO()
+    write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2)
+
+
+def test_writer_streams_a_large_document():
+    node = {"kind": "point", "vertex": 1}
+    for vertex in range(2, 15):
+        node = {"kind": "split", "vertex": vertex, "link": node, "deletion": node}
+    out = RecordingFile()
+    write_json(node, out)
+    text = json.dumps(node, indent=2)
+    assert out.getvalue() == text
+    assert out.longest < len(text) / 10
 
 
 @pytest.mark.parametrize(
