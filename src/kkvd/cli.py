@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,17 +34,6 @@ class AnalysisReport:
     kk_bound: int | None
     slack: int | None
     is_extremal: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "facet_count": self.facet_count,
-            "dimension": self.dimension,
-            "f_vector": list(self.f_vector) if self.f_vector is not None else None,
-            "is_pure": self.is_pure,
-            "kk_bound": self.kk_bound,
-            "slack": self.slack,
-            "is_extremal": self.is_extremal,
-        }
 
 
 def analyze_complex(c: SimplicialComplex) -> AnalysisReport:
@@ -105,7 +94,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.json:
-        _print_json(report.to_dict())
+        _print_json(asdict(report))
         return 0
     fv = "n/a" if report.f_vector is None else " ".join(map(str, report.f_vector))
     print(f"facets: {report.facet_count}")

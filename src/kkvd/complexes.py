@@ -7,7 +7,7 @@ masks, always compacted (every bit 0..v-1 is some facet's vertex) and
 inclusion-maximal, sorted by size, then value.  Subset tests, links and
 deletions are then word operations.
 
-The helpers below are the one copy of each mask operation: set bits,
+The helpers below are the one copy of each mask operation: set bits, purity,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
 the only place labels get renumbered), faces to masks and back, the one
 face enumerator (:func:`_faces_of_size`, ascending masks in squashed
@@ -208,6 +208,10 @@ def _union(masks: Iterable[int]) -> int:
     return functools.reduce(operator.or_, masks, 0)
 
 
+def _is_pure(masks: Iterable[int]) -> bool:
+    return len({m.bit_count() for m in masks}) <= 1
+
+
 def _intersection(masks: Iterable[int]) -> int:
     """The bits common to all masks; nonzero for facets of a cone."""
     return functools.reduce(operator.and_, masks, -1)
@@ -306,7 +310,7 @@ def _deletion_masks(masks: Sequence[int], bit: int) -> list[int]:
     size smaller, is a facet exactly when it lies in none of them, that is
     when it is not in their shadow.
     """
-    if len({f.bit_count() for f in masks}) > 1:
+    if not _is_pure(masks):
         return _maximal(f & ~bit for f in masks)
     kept = [f for f in masks if not f & bit]
     covered = _shadow_masks(kept)

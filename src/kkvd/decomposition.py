@@ -23,8 +23,9 @@ Two certification strategies:
   families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
   writes a shared subtree out in full under each parent, so its documents
   still have 2^n - 1 nodes for an n-vertex facet.
-* ``EXHAUSTIVE`` tries every vertex, memoizing on the order-preserving
-  canonical form of each subcomplex.
+* ``EXHAUSTIVE`` tries every vertex and memoizes the same way, failures
+  included, so its trees share subtrees too: a single n-vertex facet
+  takes n distinct nodes under either strategy.
 
 Verdicts are deterministic: vertex scans ascend, and a failure reports the
 first failing path in smallest-vertex order.
@@ -43,8 +44,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex, _bits, _compact, _union
-from .complexes import _deletion_masks, _link_masks, _maximal
+from .complexes import Face, SimplicialComplex, _bits, _union
+from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
 from .errors import LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
 
@@ -161,10 +162,6 @@ def _base_tree(labels, masks) -> DecompositionTree | None:
     return None
 
 
-def _is_pure(masks) -> bool:
-    return len({m.bit_count() for m in masks}) <= 1
-
-
 def certify_vd(
     c: SimplicialComplex, strategy: Strategy | str = Strategy.AUTO
 ) -> VDReport:
@@ -235,58 +232,45 @@ def _shed_extremal(labels, masks, memo) -> DecompositionTree:
 
 
 def _certify_exhaustive(labels, masks, memo):
-    """Returns (tree, ()) on success or (None, obstruction path) on failure."""
+    """Returns (tree, ()) on success or (None, obstruction path) on failure.
+
+    Masks are never compacted, so labels stay fixed; `memo` maps each
+    sorted mask tuple searched so far to its answer, so equal subcomplexes
+    share one subtree object.
+    """
+    key = tuple(sorted(masks))
+    if key not in memo:
+        memo[key] = _search_shedding_vertex(labels, key, memo)
+    return memo[key]
+
+
+def _search_shedding_vertex(labels, masks, memo):
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
-    kept, key = _compact(masks)
-    if key not in memo:
-        memo[key] = _search_shedding_vertex(key, memo)
-    tree, path = memo[key]
-    back = [labels[b] for b in kept]
-    if tree is not None:
-        return _relabel_tree(tree, back), ()
-    return None, tuple(
-        ObstructionStep(vertex=back[s.vertex], reason=s.reason) for s in path
-    )
-
-
-def _search_shedding_vertex(masks, memo):
-    """Search compacted masks; the answer names vertices by bit position."""
-    positions = range(_union(masks).bit_length())
     first_failure = None
-    for x in positions:
+    for x in _bits(_union(masks)):
         # the link of a vertex in a pure complex is pure
-        deletion = _deletion_masks(masks, 1 << x)
+        bit, v = 1 << x, labels[x]
+        deletion = _deletion_masks(masks, bit)
         if not _is_pure(deletion):
-            failure = (ObstructionStep(x, "deletion is not pure"),)
+            failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
-            link = _link_masks(masks, 1 << x)
-            link_tree, link_path = _certify_exhaustive(positions, link, memo)
+            link_tree, link_path = _certify_exhaustive(
+                labels, _link_masks(masks, bit), memo
+            )
             if link_tree is None:
-                failure = (ObstructionStep(x, "link is not decomposable"),) + link_path
+                failure = (ObstructionStep(v, "link is not decomposable"),) + link_path
             else:
-                del_tree, del_path = _certify_exhaustive(positions, deletion, memo)
+                del_tree, del_path = _certify_exhaustive(labels, deletion, memo)
                 if del_tree is not None:
-                    return Split(x, link_tree, del_tree), ()
+                    return Split(v, link_tree, del_tree), ()
                 failure = (
-                    ObstructionStep(x, "deletion is not decomposable"),
+                    ObstructionStep(v, "deletion is not decomposable"),
                 ) + del_path
         if first_failure is None:
             first_failure = failure
     return None, first_failure
-
-
-def _relabel_tree(tree, back):
-    if isinstance(tree, Split):
-        return Split(
-            vertex=back[tree.vertex],
-            link=_relabel_tree(tree.link, back),
-            deletion=_relabel_tree(tree.deletion, back),
-        )
-    if isinstance(tree, Point):
-        return Point(back[tree.vertex])
-    return tree
 
 
 def diagnose_certificate(

@@ -193,6 +193,7 @@ ADVERSARIAL_ARGV = [
     ["analyze"],
     ["analyze", "--json"],
     ["vd"],
+    ["vd", "--strategy", "exhaustive"],
     ["reisner", "--field", "gf2"],
     ["reisner", "--field", "q"],
     ["betti", "--field", "gf2"],

@@ -94,10 +94,14 @@ def test_single_simplex_is_decomposable(k):
     assert validate_certificate(c, report.tree)
 
 
-def test_cone_points_share_one_subtree():
+STRATEGIES = [Strategy.AUTO, Strategy.EXHAUSTIVE]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cone_points_share_one_subtree(strategy):
     # every vertex of a single facet is a cone point, whose link is its
     # deletion: 39 splits and one point instead of 2^40 - 1 nodes
-    report = certify_vd(make_complex([tuple(range(1, 41))]))
+    report = certify_vd(make_complex([tuple(range(1, 41))]), strategy)
     distinct = distinct_nodes(report.tree)
     splits = [n for n in distinct if isinstance(n, Split)]
     assert all(n.link is n.deletion for n in splits)
@@ -105,18 +109,38 @@ def test_cone_points_share_one_subtree():
     assert tree_depth(report.tree) == 39
 
 
-def test_complete_families_shed_into_shared_suffix_subtrees():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_complete_families_shed_into_shared_suffix_subtrees(strategy):
     # the smallest vertex of all 4-sets of 1..24 sheds into all 3-sets and
     # all 4-sets of 2..24, and so on: O(m·k) distinct subcomplexes, each
     # certified once, where the tree written out in full has about 21,500
     c = make_complex(itertools.combinations(range(1, 25), 4))
     start = time.perf_counter()
-    report = certify_vd(c)
+    report = certify_vd(c, strategy)
     assert time.perf_counter() - start < 1.0
-    assert report.strategy_used is Strategy.EXTREMAL
+    if strategy is Strategy.AUTO:
+        assert report.strategy_used is Strategy.EXTREMAL
+    else:
+        assert report.strategy_used is strategy
     assert len(distinct_nodes(report.tree)) <= 150
     assert report.tree.vertex == 1
     assert validate_certificate(c, report.tree)
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[tuple(range(1, n + 1))] for n in (1, 2, 8, 16)]
+    + [list(itertools.combinations(range(1, 11), 3))]
+    + [list(itertools.combinations(range(1, 25), 4))],
+    ids=["facet1", "facet2", "facet8", "facet16", "C(10,3)", "C(24,4)"],
+)
+def test_exhaustive_tree_equals_extremal_tree(facets):
+    # on a complete family any vertex sheds, and both strategies shed the
+    # smallest first
+    c = make_complex(facets)
+    exhaustive = certify_vd(c, Strategy.EXHAUSTIVE)
+    assert exhaustive.strategy_used is Strategy.EXHAUSTIVE
+    assert exhaustive.tree == certify_vd(c, Strategy.EXTREMAL).tree
 
 
 def test_base_cases():
@@ -191,14 +215,28 @@ def test_extremal_splits_keep_both_sides_extremal():
 
 
 def test_memoization_shares_isomorphic_subproblems():
-    # a complete 3-uniform family has highly symmetric subcomplexes; the
-    # exhaustive search must finish fast and correctly
+    # the subcomplexes of a complete 3-uniform family recur along many
+    # paths; the exhaustive search memoizes equal ones and must finish fast
+    # and correctly
     import itertools
 
     c = make_complex(list(itertools.combinations(range(1, 8), 3)))
     report = certify_vd(c, Strategy.EXHAUSTIVE)
     assert report.decomposable
     assert validate_certificate(c, report.tree)
+
+
+def relabel_tree(tree, label):
+    """A copy of the tree with each vertex v renamed label[v]; None stays None."""
+    if isinstance(tree, Split):
+        return Split(
+            label[tree.vertex],
+            relabel_tree(tree.link, label),
+            relabel_tree(tree.deletion, label),
+        )
+    if isinstance(tree, Point):
+        return Point(label[tree.vertex])
+    return tree
 
 
 def test_verdicts_match_brute_force_oracle():
@@ -210,17 +248,30 @@ def test_verdicts_match_brute_force_oracle():
         nv = rng.randint(2, 8)
         k = rng.randint(1, min(nv, 4))
         labels = rng.sample(range(1, 65), nv)
-        facets = [
-            [labels[v - 1] for v in f]
-            for f in random_family(rng, k, nv, rng.randint(1, 8))
-        ]
-        report = certify_vd(make_complex(facets), Strategy.AUTO)
-        assert report.decomposable == brute_vertex_decomposable(facets), facets
-        if report.decomposable:
-            assert validate_certificate(make_complex(facets), report.tree)
-        else:
-            assert report.obstruction
-            negatives += 1
+        family = random_family(rng, k, nv, rng.randint(1, 8))
+        facets = [[labels[v - 1] for v in f] for f in family]
+        expected = brute_vertex_decomposable(facets)
+        for strategy in STRATEGIES:
+            report = certify_vd(make_complex(facets), strategy)
+            assert report.decomposable == expected, (strategy, facets)
+            if report.decomposable:
+                assert validate_certificate(make_complex(facets), report.tree)
+            else:
+                assert report.obstruction
+        negatives += not expected
+        # the search runs on fixed labels: an order-preserving relabeling
+        # must carry the exhaustive answer along, tree and obstruction alike
+        label = dict(zip(range(1, nv + 1), sorted(labels)))
+        plain = certify_vd(make_complex(family), Strategy.EXHAUSTIVE)
+        scattered = certify_vd(
+            make_complex([[label[v] for v in f] for f in family]),
+            Strategy.EXHAUSTIVE,
+        )
+        assert scattered.decomposable == plain.decomposable, family
+        assert scattered.tree == relabel_tree(plain.tree, label), family
+        assert [(s.vertex, s.reason) for s in scattered.obstruction] == [
+            (label[s.vertex], s.reason) for s in plain.obstruction
+        ], family
     assert negatives >= 100
 
 
@@ -284,9 +335,10 @@ def test_validate_point_leaf():
     assert not validate_certificate(make_complex([(5, 6)]), Point(5))
 
 
-def test_validation_replays_each_shared_node_once():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_validation_replays_each_shared_node_once(strategy):
     c = make_complex([tuple(range(1, 19))])
-    tree = certify_vd(c).tree
+    tree = certify_vd(c, strategy).tree
     start = time.perf_counter()
     assert validate_certificate(c, tree)
     assert time.perf_counter() - start < 0.01
