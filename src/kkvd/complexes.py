@@ -243,9 +243,13 @@ def _compact(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     masks = list(masks)
     union = _union(masks)
     gaps = ((1 << union.bit_length()) - 1) ^ union
-    for g in reversed(tuple(_bits(gaps))):
-        low = (1 << g) - 1
-        masks = [(m & low) | ((m >> 1) & ~low) for m in masks]
+    while gaps:
+        # close the highest run of unused bits, start..top-1, in one shift
+        top = gaps.bit_length()
+        start = (~gaps & ((1 << top) - 1)).bit_length()
+        low = (1 << start) - 1
+        gaps &= low
+        masks = [(m & low) | ((m >> (top - start)) & ~low) for m in masks]
     return tuple(_bits(union)), tuple(sorted(sorted(masks), key=int.bit_count))
 
 

@@ -23,9 +23,13 @@ Two certification strategies:
   families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
   writes a shared subtree out in full under each parent, so its documents
   still have 2^n - 1 nodes for an n-vertex facet.
-* ``EXHAUSTIVE`` tries every vertex and memoizes the same way, failures
-  included, so its trees share subtrees too: a single n-vertex facet
-  takes n distinct nodes under either strategy.
+* ``EXHAUSTIVE`` tries every vertex and memoizes the same way, so its
+  trees share subtrees too: a single n-vertex facet takes n distinct
+  nodes under either strategy.  A failure is also memoized on the
+  order-preserving compacted form of its subcomplex, because a failed
+  search tries every vertex: two disjoint cliques on the labels 1..a and
+  a+1..a+b reach about 2^(a+b) distinct failing subcomplexes but only
+  a·b compacted ones.
 
 Verdicts are deterministic: vertex scans ascend, and a failure reports the
 first failing path in smallest-vertex order.
@@ -44,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex, _bits, _union
+from .complexes import Face, SimplicialComplex, _bits, _compact, _union
 from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
 from .errors import LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
@@ -186,7 +190,7 @@ def certify_vd(
                 strategy_used=Strategy.EXTREMAL,
                 tree=_certify_extremal(labels, masks, {}),
             )
-    tree, path = _certify_exhaustive(labels, masks, {})
+    tree, path = _certify_exhaustive(labels, masks, {}, {})
     if tree is not None:
         return VDReport(
             decomposable=True, strategy_used=Strategy.EXHAUSTIVE, tree=tree
@@ -231,20 +235,33 @@ def _shed_extremal(labels, masks, memo) -> DecompositionTree:
     )
 
 
-def _certify_exhaustive(labels, masks, memo):
+def _certify_exhaustive(labels, masks, memo, failures):
     """Returns (tree, ()) on success or (None, obstruction path) on failure.
 
-    Masks are never compacted, so labels stay fixed; `memo` maps each
-    sorted mask tuple searched so far to its answer, so equal subcomplexes
-    share one subtree object.
+    Labels stay fixed: `memo` maps each sorted mask tuple searched so far
+    to its answer, so equal subcomplexes share one subtree object.  A
+    failed search tries every vertex, so `failures` also keeps each failure
+    under the order-preserving compacted form, its path naming positions
+    there, for any order-isomorphic subcomplex to take over.
     """
     key = tuple(sorted(masks))
     if key not in memo:
-        memo[key] = _search_shedding_vertex(labels, key, memo)
+        kept, shape = _compact(key)
+        if shape in failures:
+            memo[key] = None, tuple(
+                ObstructionStep(labels[kept[p]], why) for p, why in failures[shape]
+            )
+        else:
+            memo[key] = tree, path = _search_shedding_vertex(
+                labels, key, memo, failures
+            )
+            if tree is None:
+                position = {labels[b]: p for p, b in enumerate(kept)}
+                failures[shape] = tuple((position[s.vertex], s.reason) for s in path)
     return memo[key]
 
 
-def _search_shedding_vertex(labels, masks, memo):
+def _search_shedding_vertex(labels, masks, memo, failures):
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
@@ -256,13 +273,14 @@ def _search_shedding_vertex(labels, masks, memo):
         if not _is_pure(deletion):
             failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
-            link_tree, link_path = _certify_exhaustive(
-                labels, _link_masks(masks, bit), memo
-            )
+            link = _link_masks(masks, bit)
+            link_tree, link_path = _certify_exhaustive(labels, link, memo, failures)
             if link_tree is None:
                 failure = (ObstructionStep(v, "link is not decomposable"),) + link_path
             else:
-                del_tree, del_path = _certify_exhaustive(labels, deletion, memo)
+                del_tree, del_path = _certify_exhaustive(
+                    labels, deletion, memo, failures
+                )
                 if del_tree is not None:
                     return Split(v, link_tree, del_tree), ()
                 failure = (

@@ -239,6 +239,17 @@ def test_wide_skeleton_ends_quickly(m, k, tmp_path, capsys):
     assert_each_ends_quickly(f, argvs, capsys, ["budget", "limit"])
 
 
+def test_disjoint_cliques_end_quickly(tmp_path, capsys):
+    # two disjoint K_10: neither decomposable nor extremal, so `vd` runs
+    # the exhaustive search, which fails on every vertex
+    f = tmp_path / "cliques.txt"
+    edges = [*itertools.combinations(range(1, 11), 2)]
+    edges += itertools.combinations(range(11, 21), 2)
+    f.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    argvs = ADVERSARIAL_ARGV + [["vd", "--json"]]
+    assert_each_ends_quickly(f, argvs, capsys, ["limit"])
+
+
 # ---------------------------------------------------------------- pipes
 
 

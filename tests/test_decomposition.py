@@ -101,20 +101,29 @@ STRATEGIES = [Strategy.AUTO, Strategy.EXHAUSTIVE]
 def test_cone_points_share_one_subtree(strategy):
     # every vertex of a single facet is a cone point, whose link is its
     # deletion: 39 splits and one point instead of 2^40 - 1 nodes
-    report = certify_vd(make_complex([tuple(range(1, 41))]), strategy)
+    c = make_complex([tuple(range(1, 41))])
+    report = certify_vd(c, strategy)
     distinct = distinct_nodes(report.tree)
     splits = [n for n in distinct if isinstance(n, Split)]
     assert all(n.link is n.deletion for n in splits)
     assert (len(distinct), len(splits)) == (40, 39)
     assert tree_depth(report.tree) == 39
+    if strategy is Strategy.EXHAUSTIVE:
+        assert report.tree == certify_vd(c, Strategy.EXTREMAL).tree
 
 
+@pytest.mark.parametrize(
+    "m, k",
+    [(24, 4), (10, 3), (1, 1), (2, 2), (8, 8), (16, 16)],
+    ids=["C(24,4)", "C(10,3)", "facet1", "facet2", "facet8", "facet16"],
+)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_complete_families_shed_into_shared_suffix_subtrees(strategy):
-    # the smallest vertex of all 4-sets of 1..24 sheds into all 3-sets and
-    # all 4-sets of 2..24, and so on: O(m·k) distinct subcomplexes, each
-    # certified once, where the tree written out in full has about 21,500
-    c = make_complex(itertools.combinations(range(1, 25), 4))
+def test_complete_families_shed_into_shared_suffix_subtrees(strategy, m, k):
+    # the smallest vertex of all k-sets of 1..m sheds into all (k-1)-sets
+    # and all k-sets of 2..m, and so on: O(m·k) distinct subcomplexes, each
+    # certified once, where C(24, 4) written out in full has about 21,500
+    # nodes; a single facet is C(m, m)
+    c = make_complex(itertools.combinations(range(1, m + 1), k))
     start = time.perf_counter()
     report = certify_vd(c, strategy)
     assert time.perf_counter() - start < 1.0
@@ -125,22 +134,10 @@ def test_complete_families_shed_into_shared_suffix_subtrees(strategy):
     assert len(distinct_nodes(report.tree)) <= 150
     assert report.tree.vertex == 1
     assert validate_certificate(c, report.tree)
-
-
-@pytest.mark.parametrize(
-    "facets",
-    [[tuple(range(1, n + 1))] for n in (1, 2, 8, 16)]
-    + [list(itertools.combinations(range(1, 11), 3))]
-    + [list(itertools.combinations(range(1, 25), 4))],
-    ids=["facet1", "facet2", "facet8", "facet16", "C(10,3)", "C(24,4)"],
-)
-def test_exhaustive_tree_equals_extremal_tree(facets):
-    # on a complete family any vertex sheds, and both strategies shed the
-    # smallest first
-    c = make_complex(facets)
-    exhaustive = certify_vd(c, Strategy.EXHAUSTIVE)
-    assert exhaustive.strategy_used is Strategy.EXHAUSTIVE
-    assert exhaustive.tree == certify_vd(c, Strategy.EXTREMAL).tree
+    if strategy is Strategy.EXHAUSTIVE:
+        # any vertex of a complete family sheds, and both strategies shed
+        # the smallest first
+        assert report.tree == certify_vd(c, Strategy.EXTREMAL).tree
 
 
 def test_base_cases():
@@ -216,8 +213,8 @@ def test_extremal_splits_keep_both_sides_extremal():
 
 def test_memoization_shares_isomorphic_subproblems():
     # the subcomplexes of a complete 3-uniform family recur along many
-    # paths; the exhaustive search memoizes equal ones and must finish fast
-    # and correctly
+    # paths; the exhaustive search memoizes equal ones (failures up to
+    # order-preserving relabeling) and must finish fast and correctly
     import itertools
 
     c = make_complex(list(itertools.combinations(range(1, 8), 3)))
@@ -239,16 +236,43 @@ def relabel_tree(tree, label):
     return tree
 
 
+def obstruction_walk(c, steps) -> list:
+    """The subcomplexes an obstruction path passes through, c first.
+
+    Every vertex of a failing complex fails and the scan ascends, so each
+    step names the smallest vertex; the path ends at an impure deletion.
+    """
+    walk = [c]
+    for i, step in enumerate(steps):
+        assert step.vertex == min(c.vertex_set), (c, step)
+        deletion = c.delete_vertex(step.vertex)
+        if step.reason == "deletion is not pure":
+            assert not deletion.is_pure and i == len(steps) - 1, (c, step)
+            return walk
+        if step.reason == "link is not decomposable":
+            c = c.link(Face(step.vertex))
+        else:
+            assert step.reason == "deletion is not decomposable", step
+            c = deletion
+        walk.append(c)
+    raise AssertionError(f"{steps} does not end at an impure deletion")
+
+
 def test_verdicts_match_brute_force_oracle():
     # negative verdicts come only from the exhaustive search and its memo;
     # compare every verdict with the definition on small pure complexes
     rng = random.Random(1302)
     negatives = 0
-    for _ in range(1000):
-        nv = rng.randint(2, 8)
-        k = rng.randint(1, min(nv, 4))
+    for draw in range(1300):
+        # the last 300 are denser: with 10-14 triangles on 7 vertices a
+        # reported path can pass through a failure first met elsewhere under
+        # other labels and moved onto these
+        dense = draw >= 1000
+        nv = 7 if dense else rng.randint(2, 8)
+        k = 3 if dense else rng.randint(1, min(nv, 4))
         labels = rng.sample(range(1, 65), nv)
-        family = random_family(rng, k, nv, rng.randint(1, 8))
+        n = rng.randint(10, 14) if dense else rng.randint(1, 8)
+        family = random_family(rng, k, nv, n)
         facets = [[labels[v - 1] for v in f] for f in family]
         expected = brute_vertex_decomposable(facets)
         for strategy in STRATEGIES:
@@ -257,7 +281,9 @@ def test_verdicts_match_brute_force_oracle():
             if report.decomposable:
                 assert validate_certificate(make_complex(facets), report.tree)
             else:
-                assert report.obstruction
+                # each subcomplex the path names is itself not decomposable
+                for sub in obstruction_walk(make_complex(facets), report.obstruction):
+                    assert not brute_vertex_decomposable(sub.facets), (facets, sub)
         negatives += not expected
         # the search runs on fixed labels: an order-preserving relabeling
         # must carry the exhaustive answer along, tree and obstruction alike
