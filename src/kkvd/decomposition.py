@@ -5,31 +5,35 @@ or some vertex has a pure decomposable link and a pure decomposable
 deletion.  The complex ``{∅}`` is treated as decomposable: it appears as
 the link of any facet and the recursion has to bottom out there.
 
-Two certification strategies:
+One memoized shedding search serves both certification strategies; they
+differ only in which vertices a node tries.
 
+* ``EXHAUSTIVE`` tries every vertex in ascending order.
 * ``EXTREMAL`` exploits the Kruskal-Katona structure of complexes that
-  attain the shadow bound.  A *complete* family, all k-subsets of its
-  support (``len(masks) == C(|support|, k)``), is extremal and any vertex
-  sheds, so the smallest does, with no shadow and no witness scan;
-  otherwise a witness vertex found by the counting dichotomy is
-  guaranteed to keep both the link and the deletion extremal, so the
-  recursion never backtracks.  One call memoizes the recursion on the
-  sorted facet masks, which are never compacted, so a subcomplex reached
-  twice is certified once and both parents hold the same subtree object.
-  The guard that a node attains the shadow bound runs once per distinct
-  non-complete node.  A cone point (a vertex in every facet) has its link
-  equal to its deletion, so a single n-vertex facet certifies with n
-  distinct nodes, not 2^n - 1, and a complete family sheds into suffix
-  families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
-  writes a shared subtree out in full under each parent, so its documents
-  still have 2^n - 1 nodes for an n-vertex facet.
-* ``EXHAUSTIVE`` tries every vertex and memoizes the same way, so its
-  trees share subtrees too: a single n-vertex facet takes n distinct
-  nodes under either strategy.  A failure is also memoized on the
-  order-preserving compacted form of its subcomplex, because a failed
-  search tries every vertex: two disjoint cliques on the labels 1..a and
-  a+1..a+b reach about 2^(a+b) distinct failing subcomplexes but only
-  a·b compacted ones.
+  attain the shadow bound and tries one vertex.  A *complete* family, all
+  k-subsets of its support (``len(masks) == C(|support|, k)``), is
+  extremal and any vertex sheds, so the smallest does, with no shadow and
+  no witness scan; otherwise a witness vertex found by the counting
+  dichotomy keeps both the link and the deletion extremal, so the search
+  never fails and never backtracks.  The guard that a node attains the
+  shadow bound runs once per distinct non-complete node.
+
+One call memoizes the search on the sorted facet masks, which are never
+compacted, so a subcomplex reached twice is searched once and both parents
+hold the same subtree object.  A cone point (a vertex in every facet) has
+its link equal to its deletion, so a single n-vertex facet certifies with
+n distinct nodes, not 2^n - 1, and a complete family sheds into suffix
+families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
+writes a shared subtree out in full under each parent, so its documents
+still have 2^n - 1 nodes for an n-vertex facet.  A failure is also
+memoized on the order-preserving compacted form of its subcomplex,
+because a failed search tries every vertex: two disjoint cliques on the
+labels 1..a and a+1..a+b reach about 2^(a+b) distinct failing
+subcomplexes but only a·b compacted ones.  Cliques on interleaved labels
+stay distinct under that relabeling and the search stays exponential, so
+one call may reach at most 4096 distinct subcomplexes (``_NODE_BUDGET``),
+those answered from a stored failure included, and raises
+``BudgetExceeded`` past them.
 
 Verdicts are deterministic: vertex scans ascend, and a failure reports the
 first failing path in smallest-vertex order.
@@ -50,8 +54,11 @@ from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _compact, _union
 from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
-from .errors import LimitExceeded, NotExtremal, NotPure
+from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
+
+# distinct subcomplexes one certify_vd call may search
+_NODE_BUDGET = 4096
 
 
 class Strategy(enum.Enum):
@@ -173,69 +180,31 @@ def certify_vd(
 
     ``EXTREMAL`` demands an extremal input and always succeeds on one;
     ``AUTO`` picks it when the input is extremal and falls back to the
-    exhaustive search otherwise.
+    exhaustive search otherwise.  Raises ``BudgetExceeded`` when the search
+    reaches more than 4096 distinct subcomplexes.
     """
     strategy = Strategy(strategy)
     if not c.is_pure:
         raise NotPure(f"{c!r} is not pure")
     labels, masks = c.vertex_set, c._facet_masks
-    trivially_decomposable = _base_tree(labels, masks) is not None
-    if strategy in (Strategy.AUTO, Strategy.EXTREMAL):
-        extremal = trivially_decomposable or is_extremal(c)
-        if strategy is Strategy.EXTREMAL and not extremal:
-            raise NotExtremal(f"{c!r} does not attain the shadow bound")
-        if extremal:
-            return VDReport(
-                decomposable=True,
-                strategy_used=Strategy.EXTREMAL,
-                tree=_certify_extremal(labels, masks, {}),
-            )
-    tree, path = _certify_exhaustive(labels, masks, {}, {})
-    if tree is not None:
-        return VDReport(
-            decomposable=True, strategy_used=Strategy.EXHAUSTIVE, tree=tree
-        )
-    return VDReport(
-        decomposable=False, strategy_used=Strategy.EXHAUSTIVE, obstruction=path
+    extremal = strategy is not Strategy.EXHAUSTIVE and (
+        _base_tree(labels, masks) is not None or is_extremal(c)
     )
-
-
-def _certify_extremal(labels, masks, memo) -> DecompositionTree:
-    """Witness-guided recursion; masks are never compacted, so labels stay fixed.
-
-    `memo` maps each sorted mask tuple certified so far to its subtree, so
-    equal subcomplexes (a cone point's link and deletion among them) share
-    one subtree object.
-    """
-    key = tuple(sorted(masks))
-    if key not in memo:
-        memo[key] = _shed_extremal(labels, key, memo)
-    return memo[key]
-
-
-def _shed_extremal(labels, masks, memo) -> DecompositionTree:
-    base = _base_tree(labels, masks)
-    if base is not None:
-        return base
-    support, k = _union(masks), masks[0].bit_count()
-    pure = _is_pure(masks)
-    complete = pure and len(masks) == math.comb(support.bit_count(), k)
-    if not (complete or pure and _attains_bound(masks)):
-        # unreachable from certify_vd; guards direct internal misuse
+    if strategy is Strategy.EXTREMAL and not extremal:
+        raise NotExtremal(f"{c!r} does not attain the shadow bound")
+    tree, path = _certify(labels, masks, extremal, {}, {})
+    if extremal and tree is None:
+        # unreachable: the witness keeps the deletion extremal, so pure
         raise NotExtremal("a subcomplex does not attain the shadow bound")
-    hit = None if complete else _witness_scan(masks)
-    # no witness means the facets are all k-subsets of the support and any
-    # vertex sheds; take the smallest either way
-    x = (support & -support).bit_length() - 1 if hit is None else hit[0]
-    bit = 1 << x
-    return Split(
-        vertex=labels[x],
-        link=_certify_extremal(labels, _link_masks(masks, bit), memo),
-        deletion=_certify_extremal(labels, _deletion_masks(masks, bit), memo),
+    return VDReport(
+        decomposable=tree is not None,
+        strategy_used=Strategy.EXTREMAL if extremal else Strategy.EXHAUSTIVE,
+        tree=tree,
+        obstruction=path,
     )
 
 
-def _certify_exhaustive(labels, masks, memo, failures):
+def _certify(labels, masks, extremal, memo, failures):
     """Returns (tree, ()) on success or (None, obstruction path) on failure.
 
     Labels stay fixed: `memo` maps each sorted mask tuple searched so far
@@ -245,50 +214,70 @@ def _certify_exhaustive(labels, masks, memo, failures):
     there, for any order-isomorphic subcomplex to take over.
     """
     key = tuple(sorted(masks))
-    if key not in memo:
+    if key in memo:
+        return memo[key]
+    if len(memo) >= _NODE_BUDGET:
+        raise BudgetExceeded(
+            f"more than {_NODE_BUDGET} distinct subcomplexes reached, "
+            f"over the node budget of {_NODE_BUDGET}"
+        )
+    if failures:
         kept, shape = _compact(key)
         if shape in failures:
             memo[key] = None, tuple(
                 ObstructionStep(labels[kept[p]], why) for p, why in failures[shape]
             )
-        else:
-            memo[key] = tree, path = _search_shedding_vertex(
-                labels, key, memo, failures
-            )
-            if tree is None:
-                position = {labels[b]: p for p, b in enumerate(kept)}
-                failures[shape] = tuple((position[s.vertex], s.reason) for s in path)
+            return memo[key]
+    memo[key] = tree, path = _shed(labels, key, extremal, memo, failures)
+    if tree is None:
+        kept, shape = _compact(key)
+        position = {labels[b]: p for p, b in enumerate(kept)}
+        failures[shape] = tuple((position[s.vertex], s.reason) for s in path)
     return memo[key]
 
 
-def _search_shedding_vertex(labels, masks, memo, failures):
+def _shed(labels, masks, extremal, memo, failures):
+    """Try the candidate vertices in turn; the first failure is the one reported."""
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
+    candidates = (_extremal_vertex(masks),) if extremal else _bits(_union(masks))
     first_failure = None
-    for x in _bits(_union(masks)):
+    for x in candidates:
         # the link of a vertex in a pure complex is pure
         bit, v = 1 << x, labels[x]
         deletion = _deletion_masks(masks, bit)
         if not _is_pure(deletion):
             failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
-            link = _link_masks(masks, bit)
-            link_tree, link_path = _certify_exhaustive(labels, link, memo, failures)
+            link_tree, link_path = _certify(
+                labels, _link_masks(masks, bit), extremal, memo, failures
+            )
             if link_tree is None:
                 failure = (ObstructionStep(v, "link is not decomposable"),) + link_path
             else:
-                del_tree, del_path = _certify_exhaustive(
-                    labels, deletion, memo, failures
+                del_tree, del_path = _certify(
+                    labels, deletion, extremal, memo, failures
                 )
                 if del_tree is not None:
                     return Split(v, link_tree, del_tree), ()
                 failure = (
                     ObstructionStep(v, "deletion is not decomposable"),
                 ) + del_path
-        if first_failure is None:
-            first_failure = failure
+        first_failure = first_failure or failure
     return None, first_failure
+
+
+def _extremal_vertex(masks) -> int:
+    """The bit an extremal node sheds: its smallest if complete, else the witness."""
+    support, k = _union(masks), masks[0].bit_count()
+    pure = _is_pure(masks)
+    complete = pure and len(masks) == math.comb(support.bit_count(), k)
+    if not (complete or pure and _attains_bound(masks)):
+        # unreachable from certify_vd; guards direct internal misuse
+        raise NotExtremal("a subcomplex does not attain the shadow bound")
+    hit = None if complete else _witness_scan(masks)
+    return (support & -support).bit_length() - 1 if hit is None else hit[0]
 
 
 def diagnose_certificate(

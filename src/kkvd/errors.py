@@ -60,7 +60,7 @@ class LimitExceeded(KKError, ValueError):
 
 
 class BudgetExceeded(KKError, ValueError):
-    """More faces than the configured enumeration budget."""
+    """More faces or distinct subcomplexes than a fixed budget allows."""
 
 
 class ParseError(KKError, ValueError):

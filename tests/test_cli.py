@@ -13,10 +13,10 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*argv, stdin: str | None = None):
+def run_cli(*argv, stdin: str | None = None, optimize: bool = False):
     """Run the CLI in a child process; returns (exit code, stdout, stderr)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "kkvd", *argv],
+        [sys.executable, *["-O"] * optimize, "-m", "kkvd", *argv],
         input=stdin,
         capture_output=True,
         text=True,
@@ -239,15 +239,39 @@ def test_wide_skeleton_ends_quickly(m, k, tmp_path, capsys):
     assert_each_ends_quickly(f, argvs, capsys, ["budget", "limit"])
 
 
-def test_disjoint_cliques_end_quickly(tmp_path, capsys):
+def write_two_cliques(path, first, second):
+    """Write the edges of the cliques on two disjoint label sets."""
+    edges = [*itertools.combinations(first, 2), *itertools.combinations(second, 2)]
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    return path
+
+
+@pytest.mark.parametrize(
+    "first, second, refusal_names",
+    [
+        # failures are order-isomorphic: well within the node budget
+        (range(1, 11), range(11, 21), ["limit"]),
+        # interleaved labels keep failures distinct: the node budget trips
+        (range(1, 21, 2), range(2, 21, 2), ["budget", "limit"]),
+    ],
+    ids=["1..10,11..20", "odd,even"],
+)
+def test_disjoint_cliques_end_quickly(first, second, refusal_names, tmp_path, capsys):
     # two disjoint K_10: neither decomposable nor extremal, so `vd` runs
     # the exhaustive search, which fails on every vertex
-    f = tmp_path / "cliques.txt"
-    edges = [*itertools.combinations(range(1, 11), 2)]
-    edges += itertools.combinations(range(11, 21), 2)
-    f.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    f = write_two_cliques(tmp_path / "cliques.txt", first, second)
     argvs = ADVERSARIAL_ARGV + [["vd", "--json"]]
-    assert_each_ends_quickly(f, argvs, capsys, ["limit"])
+    assert_each_ends_quickly(f, argvs, capsys, refusal_names)
+
+
+def test_refusals_survive_python_optimize(tmp_path):
+    # python -O strips assert statements; budgets and guards must not be ones
+    f = write_two_cliques(tmp_path / "cliques.txt", range(1, 21, 2), range(2, 21, 2))
+    code, _, err = run_cli("vd", str(f), optimize=True)
+    assert code == 2 and "budget" in err
+    disjoint = str(DATA / "disjoint_edges.txt")
+    code, _, err = run_cli("vd", disjoint, "--strategy", "extremal", optimize=True)
+    assert code == 2 and "shadow bound" in err
 
 
 # ---------------------------------------------------------------- pipes

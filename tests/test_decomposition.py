@@ -21,7 +21,7 @@ from kkvd import (
     tree_depth,
     validate_certificate,
 )
-from kkvd.errors import LimitExceeded, NotExtremal, NotPure
+from kkvd.errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 
 from oracles import brute_vertex_decomposable, is_valid_shelling, random_family
 
@@ -138,6 +138,31 @@ def test_complete_families_shed_into_shared_suffix_subtrees(strategy, m, k):
         # any vertex of a complete family sheds, and both strategies shed
         # the smallest first
         assert report.tree == certify_vd(c, Strategy.EXTREMAL).tree
+
+
+@pytest.mark.parametrize(
+    "strategy, k, n, distinct",
+    [(Strategy.AUTO, 4, 5000, 798), (Strategy.EXHAUSTIVE, 4, 2000, 148)],
+)
+def test_large_segments_certify_within_node_budget(strategy, k, n, distinct):
+    # the largest searches the node budget must leave room for
+    c = make_complex(segment(k, n))
+    report = certify_vd(c, strategy)
+    assert report.decomposable
+    assert len(distinct_nodes(report.tree)) <= distinct
+    assert validate_certificate(c, report.tree)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_interleaved_cliques_exceed_node_budget(strategy):
+    # two K_10 on the odd and the even labels of 1..20: their failures stay
+    # distinct under order-preserving relabeling, so the search is refused
+    odd, even = range(1, 21, 2), range(2, 21, 2)
+    c = make_complex([*itertools.combinations(odd, 2), *itertools.combinations(even, 2)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="budget"):
+        certify_vd(c, strategy)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_base_cases():
