@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .complexes import FaceFamily, SimplicialComplex, make_complex
+from .complexes import FaceFamily, SimplicialComplex, _intersection, make_complex
 from .decomposition import Strategy, certify_vd, find_shelling
 from .errors import KKError, ParseError
-from .homology import CoefficientField, reduced_betti, reisner_cm_check
+from .homology import FACE_BUDGET, CoefficientField, _check_face_budget
+from .homology import reduced_betti, reisner_cm_check
 from .io import certificate_document, format_facets, parse_facets, write_json
 from .kruskal_katona import delta, segment, segment_avoiding, shadow
 
@@ -177,6 +178,8 @@ def cmd_shadow(args: argparse.Namespace) -> int:
 
 def cmd_betti(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
+    if not _intersection(c._facet_masks):  # a cone answers at once
+        _check_face_budget(c, FACE_BUDGET)
     profile = reduced_betti(c, _field(args.field))
     if args.json:
         _print_json(

@@ -6,9 +6,9 @@ Betti numbers are reduced.  Boundary matrices come from face masks: rows
 are indexed by mask, and column m has (-1)^j at row m minus its j-th bit.
 f_i is read off the column count of d_i, so reduced_betti enumerates
 each dimension at most twice.  Ranks are exact in both fields: GF(2) rows
-are bit-packed integers eliminated by xor, rational ranks come from
-fraction-free elimination over the integers (divisions are postponed and
-always exact, so no rounding ever happens).
+are bit-packed integers eliminated by xor, rational ranks come from a row
+echelon on sparse integer rows (Dumas, Saunders and Villard 2001), whose
+steps are integer multiples and exact gcd divisions, never rounded.
 
 Reisner's criterion then reads: a complex is Cohen-Macaulay over a field
 exactly when every face has a link with vanishing reduced homology below
@@ -17,20 +17,27 @@ primes is invisible here, which reports must spell out.
 
 A cone (some vertex lies in every facet) is contractible, so its reduced
 homology vanishes and no boundary matrix is built for it; every link of a
-face in a simplex is one.  The face budget of the Reisner check counts
-distinct face masks and stops as soon as the count passes the budget, so
-a refusal costs at most the budget's worth of work.
+face in a simplex is one.  The Reisner check skips links that are cones
+and ranks each link shape once per call.  Its face budget counts distinct
+face masks and stops as soon as the count passes the budget, so a refusal
+costs at most the budget's worth of work.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex
-from .complexes import _bits, _count_faces, _faces_of_size, _intersection
+from .complexes import Face, SimplicialComplex, _bits, _compact, _count_faces
+from .complexes import _face_of, _faces_of_size, _intersection, _link_masks, _masks_of
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
+
+
+#: Faces, ∅ included, past which the Reisner check and ``kkvd betti`` refuse.
+FACE_BUDGET = 5000
 
 
 class CoefficientField(enum.Enum):
@@ -81,37 +88,44 @@ def rank_gf2(matrix: list[list[int]]) -> int:
 
 
 def rank_rational(matrix: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free integer elimination.
+    """Rank over the rationals by row echelon on sparse integer rows.
 
-    One-step Bareiss: entries stay integers, every division is exact, and
-    the pivot history keeps intermediate growth polynomial.
+    Each row becomes a {column: entry} dict and is reduced against the
+    pivot rows by its top column, as rank_gf2 does by its top bit.  A ±1
+    pivot clears with one integer multiple of its row; any other pivot p
+    takes r <- p*r - a*P and then divides r by the gcd of its entries.
+    Every step is exact integer arithmetic, so nothing is ever rounded.
     """
-    m = [row[:] for row in matrix]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(row, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, n_rows):
-            factor = m[r][col]
-            for cc in range(col, n_cols):
-                num = m[r][cc] * pivot - factor * m[row][cc]
-                q, rem = divmod(num, prev_pivot)
-                if rem:
-                    raise InvalidInput("fraction-free elimination lost exactness")
-                m[r][cc] = q
-        prev_pivot = pivot
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in matrix:
+        try:  # a float, Fraction or other non-int entry makes the sum non-int
+            if type(sum(dense)) is not int:
+                raise TypeError
+        except TypeError:
+            raise InvalidInput("rational rank needs integer entries") from None
+        row = {j: dense[j] for j in itertools.compress(itertools.count(), dense)}
+        while row:
+            top = max(row)
+            if top not in pivots:
+                pivots[top] = row
+                break
+            pivot = pivots[top]
+            a, p = row[top], pivot[top]
+            unit = p in (1, -1)
+            if unit:
+                a *= p  # a / p
+            else:
+                row = {j: p * v for j, v in row.items()}
+            for j, v in pivot.items():
+                x = row.get(j, 0) - a * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = 1 if unit else math.gcd(*row.values())  # 0 for an empty row
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -165,32 +179,44 @@ class CMReport:
     violations: tuple[Violation, ...]
 
 
-def reisner_cm_check(
-    c: SimplicialComplex,
-    field: CoefficientField = CoefficientField.RATIONALS,
-    face_budget: int = 5000,
-) -> CMReport:
-    """Reisner's criterion: every link's reduced homology vanishes below its dimension.
-
-    Iterates over all faces including the empty one, in squashed order per
-    dimension, and records every (face, degree, rank) violation.
-    """
-    d = c.dimension
-    if d is None:
-        raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
+def _check_face_budget(c: SimplicialComplex, face_budget: int) -> None:
+    """Refuse a complex with more than face_budget faces, ∅ included."""
     if _count_faces(c._facet_masks, face_budget) > face_budget:
         raise BudgetExceeded(
             f"more than {face_budget} faces, over the budget of {face_budget}"
         )
+
+
+def reisner_cm_check(
+    c: SimplicialComplex,
+    field: CoefficientField = CoefficientField.RATIONALS,
+    face_budget: int = FACE_BUDGET,
+) -> CMReport:
+    """Reisner's criterion: every link's reduced homology vanishes below its dimension.
+
+    Records every (face, degree, rank) violation over all faces, ∅ included,
+    in squashed order per dimension.  A face missing a cone point has a
+    cone for its link, so only the faces C ∪ τ are visited, C the cone
+    points and τ a face of the base; (A ∪ C) △ (B ∪ C) = A △ B keeps them
+    in squashed order.  Links that are cones are skipped, and each link
+    shape is ranked once per call.
+    """
+    if c.dimension is None:
+        raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
+    _check_face_budget(c, face_budget)
+    cone = _intersection(c._facet_masks)
+    base = SimplicialComplex._from_masks(c._labels, [f & ~cone for f in c._facet_masks])
+    betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
-    for face in c.all_faces():
-        link = c.link(face)
-        link_dim = link.dimension  # not None: the link of a face contains ∅
-        if link_dim <= -1:
+    for m in _masks_of(base.all_faces(), c._labels):
+        m |= cone
+        link = _link_masks(c._facet_masks, m)
+        if link == [0] or _intersection(link):  # a facet's link {∅}, or a cone
             continue
-        profile = reduced_betti(link, field)
-        for i in range(-1, link_dim):
-            rank = profile.betti(i)
+        shape = _compact(link)[1]
+        if shape not in betti:
+            betti[shape] = reduced_betti(c.link(_face_of(m, c._labels)), field).reduced
+        for i, rank in enumerate(betti[shape][:-1], start=-1):
             if rank:
-                violations.append(Violation(face=face, index=i, rank=rank))
+                violations.append(Violation(_face_of(m, c._labels), i, rank))
     return CMReport(is_cm=not violations, field=field, violations=tuple(violations))

@@ -160,6 +160,32 @@ def test_betti_text_output(capsys):
     assert "b[0] = 0" in out and "b[1] = 1" in out
 
 
+def write_simplex_boundary(path, n):
+    """Write the facets of the boundary of the simplex on 1..n: 2^n - 1 faces."""
+    facets = itertools.combinations(range(1, n + 1), n - 1)
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    return path
+
+
+@pytest.mark.parametrize("field", ["gf2", "q"])
+def test_betti_face_budget_spares_cones(field, tmp_path, capsys):
+    refusal = "more than 5000 faces, over the budget of 5000"
+    # 8,191 faces: refused by betti with the wording of the Reisner check
+    f = write_simplex_boundary(tmp_path / "sphere13.txt", 13)
+    for command in ("betti", "reisner"):
+        assert main([command, str(f), "--field", field]) == 2
+        assert refusal in capsys.readouterr().err
+    # 4,095 faces: within the budget, a sphere of dimension 10
+    f = write_simplex_boundary(tmp_path / "sphere12.txt", 12)
+    assert main(["betti", str(f), "--field", field, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced_betti"] == [0] * 11 + [1]
+    # a 14-vertex facet has 16,384 faces but is a cone: all zeros at once
+    f = tmp_path / "facet14.txt"
+    f.write_text(" ".join(map(str, range(1, 15))) + "\n")
+    assert main(["betti", str(f), "--field", field, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced_betti"] == [0] * 15
+
+
 def test_reisner_verdict_exit_codes():
     code, _, _ = run_cli("reisner", str(DATA / "rp2.txt"), "--field", "q")
     assert code == 0
@@ -228,14 +254,12 @@ def test_wide_skeleton_ends_quickly(m, k, tmp_path, capsys):
     skeleton = itertools.combinations(range(1, m + 1), k)
     f.write_text("".join(" ".join(map(str, s)) + "\n" for s in skeleton))
     argvs = ADVERSARIAL_ARGV + [["vd", "--strategy", "extremal"]]
-    if k == 4:
-        # Left out: `betti`, which has no face budget and ranks every
-        # boundary matrix of C(24, 4); `vd --json/--cert`, whose format-1
+    if k != 4:
+        # Left out for C(24, 4): `vd --json/--cert`, whose format-1
         # certificate writes about 21,500 nodes.
-        argvs = [argv for argv in argvs if argv[0] != "betti"]
-    else:
         argvs += [["vd", "--json"], ["vd", "--cert", str(tmp_path / "cert.json")]]
-    # `shell` refuses past its facet limit, `reisner` past its face budget
+    # `shell` refuses past its facet limit, `reisner` and `betti` past
+    # their face budget
     assert_each_ends_quickly(f, argvs, capsys, ["budget", "limit"])
 
 

@@ -23,6 +23,7 @@ from oracles import (
     boundary_oracle,
     face_levels,
     random_complex,
+    random_family,
     rank_fraction,
     rank_gf2_sets,
 )
@@ -105,6 +106,25 @@ def test_rank_implementations_match_oracles():
         m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
         assert rank_rational(m) == rank_fraction(m)
         assert rank_gf2(m) == rank_gf2_sets(m)
+
+
+def test_rank_rational_matches_fraction_elimination():
+    # entries up to 3 in size make non-unit pivots, so rows get scaled and
+    # divided by their gcd; boundary matrices are sparse with ±1 entries
+    rng = random.Random(17)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.random()
+        m = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        assert rank_rational(m) == rank_fraction(m), m
+    for _ in range(100):
+        c = random_complex(rng, max_vertices=7, max_faces=5)
+        for i in range(c.dimension + 1):
+            m = boundary_matrix(c, i)
+            assert rank_rational(m) == rank_fraction(m), (c, i)
 
 
 def test_rank_rational_rejects_inexact_elimination():
@@ -256,6 +276,65 @@ def test_violations_report_original_faces():
     report = reisner_cm_check(c, Q)
     assert not report.is_cm
     assert report.violations[0].face == Face()
+
+
+def reisner_reference(c, field):
+    """Violations face by face: every link from scratch, ranked by the oracle."""
+    violations = []
+    for face in c.all_faces():
+        betti = betti_oracle(c.link(face), rational=field is Q)
+        # degrees -1 .. dim(link) - 1, below the link's top dimension
+        violations += [Violation(face, i, b) for i, b in enumerate(betti[:-1], -1) if b]
+    return violations
+
+
+def random_reisner_inputs(rng):
+    """Pure and non-pure complexes, some cones, on 1..n or scattered labels."""
+    for t in range(160):
+        if t % 2:
+            c = random_complex(rng, max_vertices=7, max_faces=5)
+        else:
+            k = rng.randint(1, 3)
+            c = make_complex(random_family(rng, k, rng.randint(k, 7), rng.randint(1, 6)))
+        if t % 4 >= 2:
+            c = with_apex(c) if t % 8 < 6 else with_apex(with_apex(c))
+        if t % 3 == 0:
+            labels = sorted(rng.sample(range(1, 65), len(c.vertex_set)))
+            relabel = dict(zip(c.vertex_set, labels))
+            c = make_complex([[relabel[v] for v in f] for f in c.facets])
+        yield c
+    yield make_complex(RP2_FACETS)
+    yield with_apex(make_complex(RP2_FACETS))
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_reisner_matches_face_by_face_reference(field):
+    rng = random.Random(71)
+    violating = 0
+    for c in random_reisner_inputs(rng):
+        report = reisner_cm_check(c, field)
+        want = reisner_reference(c, field)
+        assert list(report.violations) == want, c
+        assert report.is_cm is not want
+        violating += bool(want)
+    assert violating >= 25  # the inputs exercise the violation path
+
+
+def test_reisner_and_betti_on_spheres_are_fast():
+    # the boundary of the 6-dimensional cross-polytope: 64 facets, 729 faces
+    cross = [tuple(2 * i + s for i, s in enumerate(signs)) for signs in
+             itertools.product((1, 2), repeat=6)]
+    start = time.perf_counter()
+    assert reisner_cm_check(make_complex(cross), Q).is_cm
+    assert time.perf_counter() - start < 0.2
+    # the boundary of the simplex on 10 vertices: 1,023 faces
+    sphere = make_complex(itertools.combinations(range(1, 11), 9))
+    start = time.perf_counter()
+    assert reduced_betti(sphere, Q).reduced == (0,) * 9 + (1,)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert reisner_cm_check(sphere, Q).is_cm
+    assert time.perf_counter() - start < 1.0
 
 
 def test_face_budget(projective_plane):
