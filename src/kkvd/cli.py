@@ -20,7 +20,8 @@ from .decomposition import Strategy, certify_vd, find_shelling
 from .errors import KKError, ParseError
 from .homology import FACE_BUDGET, CoefficientField, _check_face_budget
 from .homology import reduced_betti, reisner_cm_check
-from .io import certificate_document, format_facets, parse_facets, write_json
+from .io import WRITTEN_NODE_BUDGET, _check_written_nodes, certificate_document
+from .io import format_facets, parse_facets, write_json
 from .kruskal_katona import delta, segment, segment_avoiding, shadow
 
 
@@ -113,6 +114,7 @@ def cmd_vd(args: argparse.Namespace) -> int:
     report = certify_vd(c, Strategy(args.strategy))
     if report.decomposable:
         if args.cert or args.json:
+            _check_written_nodes(report.tree, WRITTEN_NODE_BUDGET)
             doc = certificate_document(c.facets, report.strategy_used, report.tree)
         if args.cert:
             with Path(args.cert).open("w") as fp:

@@ -13,12 +13,16 @@ tree, and the ``tree`` itself with node kinds ``empty``, ``emptyface``,
 link and deletion, or equal subcomplexes reached along different paths)
 becomes one node dict, held wherever the tree holds it; the text writes it
 out in full under each parent, so it is the plain format-1 tree, with
-2^n - 1 nodes for a single n-vertex facet.
+2^n - 1 nodes for a single n-vertex facet.  ``kkvd vd`` refuses to write
+more than ``WRITTEN_NODE_BUDGET`` nodes, counted over the distinct ones.
 
 :func:`write_json` writes the text of ``json.dumps(doc, indent=2)`` to a
-file piece by piece, in one loop over a stack of open containers, so the
-document's expanded text is never held in memory and the stdlib's slow
-generator-per-level indenting encoder does not run.
+file in writes of about 64 KiB, in one loop over a stack of open
+containers, so the document's expanded text is never held in memory and
+the stdlib's slow generator-per-level indenting encoder does not run.  A
+container met again is rendered once more per nesting depth, if its text
+fits in one write, and that text is copied wherever it recurs, so a
+format-1 certificate costs its distinct nodes plus the copying of its text.
 """
 
 from __future__ import annotations
@@ -35,9 +39,12 @@ from .decomposition import (
     Split,
     Strategy,
 )
-from .errors import InvalidLabel, ParseError
+from .errors import BudgetExceeded, InvalidLabel, ParseError
 
 CERTIFICATE_FORMAT = 1
+#: most nodes a format-1 tree may write out: a single 20-vertex facet's
+#: 2^20 - 1 fit
+WRITTEN_NODE_BUDGET = 2**20
 
 
 def parse_facets(text: str) -> list[Face]:
@@ -86,6 +93,29 @@ def _node(tree: DecompositionTree, nodes: dict[int, dict]) -> dict:
             "deletion": _node(tree.deletion, nodes),
         }
     return nodes[id(tree)]
+
+
+def _check_written_nodes(tree: DecompositionTree, budget: int) -> None:
+    """Refuse a tree whose format-1 text writes out more than `budget` nodes.
+
+    Counts once per distinct split, so a refusal costs the tree's distinct
+    nodes, not its text.
+    """
+    counts: dict[int, int] = {}
+
+    def written(t: DecompositionTree) -> int:
+        if not isinstance(t, Split):
+            return 1
+        if id(t) not in counts:
+            counts[id(t)] = 1 + written(t.link) + written(t.deletion)
+        return counts[id(t)]
+
+    count = written(tree)
+    if count > budget:
+        raise BudgetExceeded(
+            f"the format-1 certificate writes out {count} nodes, over the "
+            f"written-node budget of {budget}"
+        )
 
 
 def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
@@ -155,8 +185,9 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
     return facets, strategy, node_to_tree(doc.get("tree"))
 
 
-#: pieces gathered before each write: a few tens of kilobytes of text
-_PIECES_PER_WRITE = 4096
+#: characters gathered before each write; the text of a shared container
+#: is memoized only when it fits in one write
+_WRITE_CHARS = 1 << 16
 _END = object()
 _quote = json.encoder.encode_basestring_ascii
 
@@ -165,11 +196,17 @@ def write_json(obj: object, fp: TextIO) -> None:
     """Write exactly the text of ``json.dumps(obj, indent=2)`` to `fp`.
 
     Containers are dicts with string keys, lists and tuples; any other
-    value is written as ``json.dumps`` writes it.  A container held in
-    several places is written out in full at each.
+    value is written as ``json.dumps`` writes it.  A container met again
+    is rendered once more per nesting depth, if its text fits in one write,
+    and that text is copied wherever the container recurs at that depth.
     """
+    seen: set[int] = set()  # ids of the containers opened so far
+    memo: dict[tuple[int, int], str] = {}  # (id, depth) -> text
     pieces: list[str] = []
-    stack: list[tuple] = []  # (items, keyed, separator, closer) per open container
+    size = flushes = 0  # characters in pieces; writes so far
+    # per open container: items, keyed, separator, closer, and for one met
+    # again (memo slot, flushes, piece index, size) at its opening
+    stack: list[tuple] = []
     keys: dict[str, str] = {}  # key -> its quoted text and ": "
     value = obj
     while True:
@@ -178,24 +215,44 @@ def write_json(obj: object, fp: TextIO) -> None:
         elif isinstance(value, (list, tuple)) and value:
             items, keyed, opener = iter(value), False, "["
         else:
-            items = None
+            items, text = None, _leaf_text(value)
+        start = None
+        if items is not None:
+            if id(value) not in seen:
+                seen.add(id(value))
+            else:  # held in several places: render it once per depth
+                slot = id(value), len(stack)
+                text = memo.get(slot)
+                if text is None:
+                    start = slot, flushes, len(pieces), size
+                else:
+                    items = None
         if items is not None:
             indent = "\n" + "  " * len(stack)
             inner = indent + "  "
-            stack.append((items, keyed, "," + inner, indent + ("}" if keyed else "]")))
+            closer = indent + ("}" if keyed else "]")
+            stack.append((items, keyed, "," + inner, closer, start))
             pieces.append(opener + inner)
+            size += len(inner) + 1
             item = next(items)
         else:
-            pieces.append(_leaf_text(value))
+            pieces.append(text)
+            size += len(text)
             # close every container this value finishes
             while stack:
-                items, keyed, separator, closer = stack[-1]
+                items, keyed, separator, closer, start = stack[-1]
                 item = next(items, _END)
                 if item is not _END:
                     pieces.append(separator)
+                    size += len(separator)
                     break
                 stack.pop()
                 pieces.append(closer)
+                size += len(closer)
+                if start and start[1] == flushes and size - start[3] <= _WRITE_CHARS:
+                    slot, _, at, _ = start
+                    memo[slot] = text = "".join(pieces[at:])
+                    pieces[at:] = [text]
             else:
                 break
         if keyed:
@@ -204,11 +261,14 @@ def write_json(obj: object, fp: TextIO) -> None:
             if text is None:
                 text = keys[key] = _quote(key) + ": "
             pieces.append(text)
+            size += len(text)
         else:
             value = item
-        if len(pieces) >= _PIECES_PER_WRITE:
+        if size >= _WRITE_CHARS:
             fp.write("".join(pieces))
             pieces.clear()
+            size = 0
+            flushes += 1
     fp.write("".join(pieces))
 
 

@@ -84,30 +84,45 @@ def _greedy(rem: int, k: int) -> Iterator[tuple[int, int]]:
 
 def segment(k: int, n: int) -> FaceFamily:
     """The first n k-sets in squashed order."""
-    if k < 1:
-        raise InvalidInput(f"set size must be >= 1, got {k}")
-    if n < 0:
-        raise InvalidInput(f"count must be >= 0, got {n}")
-    return FaceFamily((colex_unrank(r, k) for r in range(n)), size=k)
+    return _segment(k, n, None)
 
 
 def segment_avoiding(k: int, n: int, avoid: int) -> FaceFamily:
     """The first n squashed-order k-sets that do not contain `avoid`.
 
-    Unranks in the relabeled universe with `avoid` deleted and maps the
-    result back, so cost is O(n k log) rather than a scan of the full order.
+    Opens a zero bit at `avoid` in each of the first n k-bit masks, an
+    order-preserving map onto the sets without it, so cost is O(n k).
     """
+    return _segment(k, n, avoid)
+
+
+def _segment(k: int, n: int, avoid: int | None) -> FaceFamily:
     if k < 1:
         raise InvalidInput(f"set size must be >= 1, got {k}")
     if n < 0:
         raise InvalidInput(f"count must be >= 0, got {n}")
-    if avoid < 1:
+    if avoid is not None and avoid < 1:
         raise InvalidInput(f"vertex labels must be >= 1, got {avoid}")
-    faces = []
-    for r in range(n):
-        base = colex_unrank(r, k)
-        faces.append(Face(*(v if v < avoid else v + 1 for v in base.vertices)))
-    return FaceFamily(faces, size=k)
+    # vertex v is bit v - 1; adding the bits at and above `gap` to
+    # themselves moves them up one place.  Labels stay below n + k, so with
+    # no `avoid` nothing moves.
+    gap = n + k if avoid is None else avoid - 1
+    faces = [
+        Face._unsafe(tuple(b + 1 for b in _bits(m + (m >> gap << gap))))
+        for m in _segment_masks(k, n)
+    ]
+    return FaceFamily._unsafe(faces, k)
+
+
+def _segment_masks(k: int, n: int) -> Iterator[int]:
+    """The first n k-bit masks, ascending: the squashed order's first n k-sets."""
+    mask = (1 << k) - 1
+    for _ in range(n):
+        yield mask
+        # Gosper's rule: the next larger mask with the same number of bits
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (mask ^ ripple) >> (low.bit_length() + 1)
 
 
 def shadow(family: FaceFamily) -> FaceFamily:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -93,6 +94,19 @@ def test_vd_writes_validating_certificate(tmp_path, capsys):
 
     facets, strategy, tree = parse_certificate(json.loads(cert_path.read_text()))
     assert validate_certificate(make_complex(facets), tree)
+
+
+def test_vd_cert_writes_the_format_1_text(tmp_path, capsys):
+    from kkvd import Strategy, certify_vd, make_complex
+    from kkvd.io import certificate_document
+
+    facet = tuple(range(1, 17))
+    path, cert_path = tmp_path / "facet16.txt", tmp_path / "cert.json"
+    path.write_text(" ".join(map(str, facet)) + "\n")
+    assert main(["vd", str(path), "--cert", str(cert_path)]) == 0
+    c = make_complex([facet])
+    doc = certificate_document(c.facets, Strategy.EXTREMAL, certify_vd(c).tree)
+    assert cert_path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_vd_exit_one_on_obstruction(capsys):
@@ -214,12 +228,13 @@ def test_shell_facet_limit_exits_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------- adversarial inputs
 
-# Left out: `vd --json/--cert`, whose format-1 certificate has 2^n - 1 nodes.
+CERTIFICATE_ARGV = [["vd", "--json"], ["vd", "--cert", os.devnull]]
 ADVERSARIAL_ARGV = [
     ["analyze"],
     ["analyze", "--json"],
     ["vd"],
     ["vd", "--strategy", "exhaustive"],
+    *CERTIFICATE_ARGV,
     ["reisner", "--field", "gf2"],
     ["reisner", "--field", "q"],
     ["betti", "--field", "gf2"],
@@ -229,7 +244,11 @@ ADVERSARIAL_ARGV = [
 
 
 def assert_each_ends_quickly(path, argvs, capsys, refusal_names):
-    """Each call ends in under 1 s, and a refusal names its budget or limit."""
+    """Each call ends in under 1 s, and a refusal names its budget or limit.
+
+    Returns the exit code of each call, by its argv as a tuple.
+    """
+    codes = {}
     for command, *flags in argvs:
         start = time.perf_counter()
         code = main([command, str(path), *flags])
@@ -239,13 +258,17 @@ def assert_each_ends_quickly(path, argvs, capsys, refusal_names):
         assert code in (0, 1, 2), (command, flags)
         if code == 2:
             assert any(name in err for name in refusal_names), (command, flags, err)
+        codes[(command, *flags)] = code
+    return codes
 
 
 @pytest.mark.parametrize("n", [22, 40, 64])
 def test_single_large_facet_ends_quickly(n, tmp_path, capsys):
     f = tmp_path / f"facet{n}.txt"
     f.write_text(" ".join(str(v) for v in range(1, n + 1)) + "\n")
-    assert_each_ends_quickly(f, ADVERSARIAL_ARGV, capsys, ["budget"])
+    codes = assert_each_ends_quickly(f, ADVERSARIAL_ARGV, capsys, ["budget"])
+    # the format-1 text of 2^n - 1 nodes is refused before it is built
+    assert [codes[tuple(argv)] for argv in CERTIFICATE_ARGV] == [2, 2]
 
 
 @pytest.mark.parametrize("m, k", [(24, 4), (40, 2)])
@@ -254,13 +277,10 @@ def test_wide_skeleton_ends_quickly(m, k, tmp_path, capsys):
     skeleton = itertools.combinations(range(1, m + 1), k)
     f.write_text("".join(" ".join(map(str, s)) + "\n" for s in skeleton))
     argvs = ADVERSARIAL_ARGV + [["vd", "--strategy", "extremal"]]
-    if k != 4:
-        # Left out for C(24, 4): `vd --json/--cert`, whose format-1
-        # certificate writes about 21,500 nodes.
-        argvs += [["vd", "--json"], ["vd", "--cert", str(tmp_path / "cert.json")]]
     # `shell` refuses past its facet limit, `reisner` and `betti` past
     # their face budget
-    assert_each_ends_quickly(f, argvs, capsys, ["budget", "limit"])
+    codes = assert_each_ends_quickly(f, argvs, capsys, ["budget", "limit"])
+    assert [codes[tuple(argv)] for argv in CERTIFICATE_ARGV] == [0, 0]
 
 
 def write_two_cliques(path, first, second):
@@ -284,8 +304,7 @@ def test_disjoint_cliques_end_quickly(first, second, refusal_names, tmp_path, ca
     # two disjoint K_10: neither decomposable nor extremal, so `vd` runs
     # the exhaustive search, which fails on every vertex
     f = write_two_cliques(tmp_path / "cliques.txt", first, second)
-    argvs = ADVERSARIAL_ARGV + [["vd", "--json"]]
-    assert_each_ends_quickly(f, argvs, capsys, refusal_names)
+    assert_each_ends_quickly(f, ADVERSARIAL_ARGV, capsys, refusal_names)
 
 
 def test_refusals_survive_python_optimize(tmp_path):

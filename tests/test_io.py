@@ -2,9 +2,13 @@ import io
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kkvd.io
 from kkvd import (
     EmptyFace,
     Face,
@@ -17,8 +21,9 @@ from kkvd import (
     validate_certificate,
 )
 from kkvd.cli import main
-from kkvd.errors import ParseError
+from kkvd.errors import BudgetExceeded, ParseError
 from kkvd.io import (
+    _check_written_nodes,
     certificate_document,
     format_facets,
     node_to_tree,
@@ -138,6 +143,14 @@ def test_shared_subtrees_serialize_in_full(tmp_path, capsys):
     assert shared >= 40
 
 
+def test_written_node_count_is_checked_against_the_budget():
+    # a single 5-vertex facet writes out 2^5 - 1 nodes from 5 distinct ones
+    tree = certify_vd(make_complex([range(1, 6)])).tree
+    _check_written_nodes(tree, 31)
+    with pytest.raises(BudgetExceeded, match="writes out 31 nodes.* budget of 30"):
+        _check_written_nodes(tree, 30)
+
+
 class RecordingFile(io.StringIO):
     """A text file that remembers the length of its longest write."""
 
@@ -194,6 +207,65 @@ def test_writer_streams_a_large_document():
     text = json.dumps(node, indent=2)
     assert out.getvalue() == text
     assert out.longest < len(text) / 10
+
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=4),
+    st.sampled_from([[], {}, ()]),
+)
+
+
+@st.composite
+def shared_documents(draw):
+    """A document whose containers each hold leaves or earlier containers.
+
+    An earlier container may be held by several later ones, and so recurs
+    at several depths of the document.
+    """
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        children = st.one_of(LEAVES, st.sampled_from(pool)) if pool else LEAVES
+        items = draw(st.lists(children, min_size=1, max_size=3))
+        kind = draw(st.sampled_from(["dict", "list", "tuple"]))
+        if kind == "dict":
+            size = len(items)
+            keys = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
+            pool.append(dict(zip(keys, items)))
+        else:
+            pool.append(items if kind == "list" else tuple(items))
+    return pool[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_documents(), st.sampled_from([1, 7, 40, 200, 1 << 16]))
+def test_writer_matches_json_dumps_on_shared_containers(obj, write_chars):
+    out = io.StringIO()
+    with mock.patch.object(kkvd.io, "_WRITE_CHARS", write_chars):
+        write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2)
+
+
+def test_writer_renders_a_shared_subtree_once_per_depth(monkeypatch):
+    # 2^13 points written out, from 14 distinct nodes
+    node = {"kind": "point", "vertex": 1}
+    for vertex in range(2, 15):
+        node = {"kind": "split", "vertex": vertex, "link": node, "deletion": node}
+    rendered = []
+    leaf_text = kkvd.io._leaf_text
+    monkeypatch.setattr(kkvd.io, "_leaf_text", lambda v: rendered.append(v) or leaf_text(v))
+    monkeypatch.setattr(kkvd.io, "_WRITE_CHARS", 4096)
+    out = io.StringIO()
+    write_json(node, out)
+    text = json.dumps(node, indent=2)
+    assert out.getvalue() == text
+    # each node renders two leaves.  One whose text fits in one write is
+    # rendered twice, where it is first met and where it is met again and
+    # memoized; one above that size at each of its places, which number at
+    # most twice the writes.  Written out in full it would be 2^14 - 1 times.
+    assert len(rendered) <= 2 * 2 * 14 + 2 * 2 * len(text) // 4096
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,17 @@ def test_segment_avoiding_matches_filtered_enumeration(k, i):
     assert [f.vertices for f in segment_avoiding(k, 10, i)] == filtered
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_segments_match_unranking(k):
+    n = 300
+    ranked = [colex_unrank(r, k).vertices for r in range(2 * n)]
+    assert [f.vertices for f in segment(k, n)] == ranked[:n]
+    for avoid in (1, 2, 3, 5, 9, 40, 10**9):
+        kept = [t for t in ranked if avoid not in t][:n]
+        assert len(kept) == n
+        assert [f.vertices for f in segment_avoiding(k, n, avoid)] == kept, avoid
+
+
 # ---------------------------------------------------------------- shadow
 
 
