@@ -32,7 +32,6 @@ from .errors import (
     FaceNotInComplex,
     InvalidInput,
     InvalidLabel,
-    NotPure,
     OutOfRange,
     SizeMismatch,
     TooManyVertices,
@@ -446,12 +445,6 @@ class SimplicialComplex:
         for _ in range(cone.bit_count()):
             f = [a + b for a, b in zip(f + [0], [0] + f)]
         return tuple(f[1:])
-
-    def facet_family(self) -> FaceFamily:
-        """The facets as a uniform family; requires a pure complex."""
-        if not self.is_pure:
-            raise NotPure(f"facets of {self!r} are not equidimensional")
-        return FaceFamily(self.facets)
 
     # -- derived complexes -------------------------------------------------
 

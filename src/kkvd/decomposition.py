@@ -25,15 +25,15 @@ its link equal to its deletion, so a single n-vertex facet certifies with
 n distinct nodes, not 2^n - 1, and a complete family sheds into suffix
 families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
 writes a shared subtree out in full under each parent, so its documents
-still have 2^n - 1 nodes for an n-vertex facet.  A failure is also
-memoized on the order-preserving compacted form of its subcomplex,
-because a failed search tries every vertex: two disjoint cliques on the
-labels 1..a and a+1..a+b reach about 2^(a+b) distinct failing
-subcomplexes but only a·b compacted ones.  Cliques on interleaved labels
-stay distinct under that relabeling and the search stays exponential, so
-one call may reach at most 4096 distinct subcomplexes (``_NODE_BUDGET``),
-those answered from a stored failure included, and raises
-``BudgetExceeded`` past them.
+still have 2^n - 1 nodes for an n-vertex facet.
+
+A failing node would try every vertex; two facts of Provan and Billera
+(1980) end its scan early.  Every vertex link of a decomposable complex is
+decomposable, so a failed link ends it.  A decomposable complex is
+shellable, so its facets connect through shared ridges; after one failed
+vertex, a node whose facets do not is done.  The search stays exponential
+on some inputs, so one call may search at most 4096 distinct subcomplexes
+(``_NODE_BUDGET``) and raises ``BudgetExceeded`` past them.
 
 Verdicts are deterministic: vertex scans ascend, and a failure reports the
 first failing path in smallest-vertex order.
@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex, _bits, _compact, _union
+from .complexes import Face, SimplicialComplex, _bits, _union
 from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
 from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
@@ -192,7 +192,7 @@ def certify_vd(
     )
     if strategy is Strategy.EXTREMAL and not extremal:
         raise NotExtremal(f"{c!r} does not attain the shadow bound")
-    tree, path = _certify(labels, masks, extremal, {}, {})
+    tree, path = _certify(labels, masks, extremal, {})
     if extremal and tree is None:
         # unreachable: the witness keeps the deletion extremal, so pure
         raise NotExtremal("a subcomplex does not attain the shadow bound")
@@ -204,14 +204,11 @@ def certify_vd(
     )
 
 
-def _certify(labels, masks, extremal, memo, failures):
+def _certify(labels, masks, extremal, memo):
     """Returns (tree, ()) on success or (None, obstruction path) on failure.
 
     Labels stay fixed: `memo` maps each sorted mask tuple searched so far
-    to its answer, so equal subcomplexes share one subtree object.  A
-    failed search tries every vertex, so `failures` also keeps each failure
-    under the order-preserving compacted form, its path naming positions
-    there, for any order-isomorphic subcomplex to take over.
+    to its answer, so equal subcomplexes share one subtree object.
     """
     key = tuple(sorted(masks))
     if key in memo:
@@ -221,51 +218,68 @@ def _certify(labels, masks, extremal, memo, failures):
             f"more than {_NODE_BUDGET} distinct subcomplexes reached, "
             f"over the node budget of {_NODE_BUDGET}"
         )
-    if failures:
-        kept, shape = _compact(key)
-        if shape in failures:
-            memo[key] = None, tuple(
-                ObstructionStep(labels[kept[p]], why) for p, why in failures[shape]
-            )
-            return memo[key]
-    memo[key] = tree, path = _shed(labels, key, extremal, memo, failures)
-    if tree is None:
-        kept, shape = _compact(key)
-        position = {labels[b]: p for p, b in enumerate(kept)}
-        failures[shape] = tuple((position[s.vertex], s.reason) for s in path)
+    memo[key] = _shed(labels, key, extremal, memo)
     return memo[key]
 
 
-def _shed(labels, masks, extremal, memo, failures):
+def _shed(labels, masks, extremal, memo):
     """Try the candidate vertices in turn; the first failure is the one reported."""
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
     candidates = (_extremal_vertex(masks),) if extremal else _bits(_union(masks))
-    first_failure = None
+    first_failure = shared = None
     for x in candidates:
         # the link of a vertex in a pure complex is pure
         bit, v = 1 << x, labels[x]
-        deletion = _deletion_masks(masks, bit)
+        if shared is None:
+            deletion = _deletion_masks(masks, bit)
+        else:
+            # F ∌ x stays (F + x is no ridge); F - x stays unless another facet has it
+            deletion = [f & ~bit for f in masks if f ^ bit not in shared]
         if not _is_pure(deletion):
             failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
-            link_tree, link_path = _certify(
-                labels, _link_masks(masks, bit), extremal, memo, failures
-            )
+            link = _link_masks(masks, bit)
+            link_tree, link_path = _certify(labels, link, extremal, memo)
             if link_tree is None:
-                failure = (ObstructionStep(v, "link is not decomposable"),) + link_path
-            else:
-                del_tree, del_path = _certify(
-                    labels, deletion, extremal, memo, failures
-                )
-                if del_tree is not None:
-                    return Split(v, link_tree, del_tree), ()
-                failure = (
-                    ObstructionStep(v, "deletion is not decomposable"),
-                ) + del_path
-        first_failure = first_failure or failure
+                # every vertex link of a decomposable complex is decomposable
+                step = ObstructionStep(v, "link is not decomposable")
+                return None, first_failure or (step,) + link_path
+            del_tree, del_path = _certify(labels, deletion, extremal, memo)
+            if del_tree is not None:
+                return Split(v, link_tree, del_tree), ()
+            failure = (ObstructionStep(v, "deletion is not decomposable"),) + del_path
+        if first_failure is None:
+            first_failure = failure
+            connected, shared = _ridges(masks)
+            if not connected:
+                # a decomposable complex is shellable, so connected by ridges
+                break
     return None, first_failure
+
+
+def _ridges(masks) -> tuple[bool, set[int]]:
+    """(whether a pure family's facets connect through shared ridges, those ridges)."""
+    parent = list(range(len(masks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}
+    shared: set[int] = set()
+    for i, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = owner.setdefault(m ^ low, i)
+            if j != i:
+                shared.add(m ^ low)
+                parent[root(i)] = root(j)
+    return len({root(i) for i in range(len(masks))}) == 1, shared
 
 
 def _extremal_vertex(masks) -> int:
@@ -354,24 +368,17 @@ def find_shelling(
         return all(s.bit_count() == d for s in inters)
 
     order: list[int] = []
-    used = [False] * m
 
     def backtrack() -> bool:
         if len(order) == m:
             return True
         for j in range(m):
-            if used[j]:
+            if j in order or order and not admissible(j, order):
                 continue
-            if order and not admissible(j, order):
-                continue
-            used[j] = True
             order.append(j)
             if backtrack():
                 return True
             order.pop()
-            used[j] = False
         return False
 
-    if backtrack():
-        return tuple(facets[j] for j in order)
-    return None
+    return tuple(facets[j] for j in order) if backtrack() else None

@@ -154,6 +154,27 @@ def random_family(rng, k: int, universe: int, n: int) -> list[Face]:
     return [Face(*t) for t in pool[: min(n, len(pool))]]
 
 
+def torus_facets(a: int, b: int) -> list[tuple[int, int, int]]:
+    """The triangles of the a×b grid triangulation of the torus (a, b >= 3).
+
+    Vertex (i, j), taken mod (a, b), has the label b·i + j + 1; each grid
+    square is cut along its diagonal.
+    """
+
+    def v(i: int, j: int) -> int:
+        return b * (i % a) + j % b + 1
+
+    return [
+        t
+        for i in range(a)
+        for j in range(b)
+        for t in (
+            (v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+            (v(i, j), v(i, j + 1), v(i + 1, j + 1)),
+        )
+    ]
+
+
 def random_complex(rng, max_vertices: int = 8, max_faces: int = 6):
     from kkvd import make_complex
 

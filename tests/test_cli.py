@@ -10,6 +10,8 @@ import pytest
 
 from kkvd.cli import main
 
+from oracles import torus_facets
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,9 +295,9 @@ def write_two_cliques(path, first, second):
 @pytest.mark.parametrize(
     "first, second, refusal_names",
     [
-        # failures are order-isomorphic: well within the node budget
+        # the first failed vertex finds the facets disconnected: `vd` exits 1
         (range(1, 11), range(11, 21), ["limit"]),
-        # interleaved labels keep failures distinct: the node budget trips
+        # the same on interleaved labels
         (range(1, 21, 2), range(2, 21, 2), ["budget", "limit"]),
     ],
     ids=["1..10,11..20", "odd,even"],
@@ -309,9 +311,10 @@ def test_disjoint_cliques_end_quickly(first, second, refusal_names, tmp_path, ca
 
 def test_refusals_survive_python_optimize(tmp_path):
     # python -O strips assert statements; budgets and guards must not be ones
-    f = write_two_cliques(tmp_path / "cliques.txt", range(1, 21, 2), range(2, 21, 2))
+    f = tmp_path / "torus.txt"
+    f.write_text("".join(f"{a} {b} {c}\n" for a, b, c in torus_facets(5, 5)))
     code, _, err = run_cli("vd", str(f), optimize=True)
-    assert code == 2 and "budget" in err
+    assert code == 2 and "node budget" in err
     disjoint = str(DATA / "disjoint_edges.txt")
     code, _, err = run_cli("vd", disjoint, "--strategy", "extremal", optimize=True)
     assert code == 2 and "shadow bound" in err

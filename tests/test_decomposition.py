@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,12 @@ from kkvd import (
 )
 from kkvd.errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 
-from oracles import brute_vertex_decomposable, is_valid_shelling, random_family
+from oracles import (
+    brute_vertex_decomposable,
+    is_valid_shelling,
+    random_family,
+    torus_facets,
+)
 
 
 def walk_splits(c, tree):
@@ -95,6 +101,7 @@ def test_single_simplex_is_decomposable(k):
 
 
 STRATEGIES = [Strategy.AUTO, Strategy.EXHAUSTIVE]
+RP2 = Path(__file__).parent / "data" / "rp2.txt"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -154,15 +161,64 @@ def test_large_segments_certify_within_node_budget(strategy, k, n, distinct):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_interleaved_cliques_exceed_node_budget(strategy):
-    # two K_10 on the odd and the even labels of 1..20: their failures stay
-    # distinct under order-preserving relabeling, so the search is refused
-    odd, even = range(1, 21, 2), range(2, 21, 2)
-    c = make_complex([*itertools.combinations(odd, 2), *itertools.combinations(even, 2)])
+def test_torus_exceeds_node_budget(strategy):
+    # the 5×5 torus is ridge connected and its vertex links are hexagons,
+    # which decompose, so neither cut ends its own scan: the search is
+    # refused at its node budget
+    c = make_complex(torus_facets(5, 5))
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="budget"):
         certify_vd(c, strategy)
     assert time.perf_counter() - start < 1.0
+
+
+def clique_edges(*label_sets):
+    return [e for labels in label_sets for e in itertools.combinations(labels, 2)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "label_sets",
+    [
+        (range(1, 21, 2), range(2, 21, 2)),
+        (range(1, 9), range(9, 17), range(17, 25)),
+    ],
+    ids=["K10 odd,even", "3 K8"],
+)
+def test_disjoint_cliques_are_not_decomposable(label_sets, strategy):
+    # the first failed vertex finds the facets split into cliques, and the
+    # disconnected node ends its scan
+    c = make_complex(clique_edges(*label_sets))
+    start = time.perf_counter()
+    report = certify_vd(c, strategy)
+    assert time.perf_counter() - start < 1.0
+    assert not report.decomposable
+    assert report.strategy_used is Strategy.EXHAUSTIVE
+    obstruction_walk(c, report.obstruction)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bridged_cliques_certify(strategy):
+    # K10 on the odd and on the even labels of 1..20, joined by the edge {1, 2}
+    c = make_complex(clique_edges(range(1, 21, 2), range(2, 21, 2)) + [(1, 2)])
+    report = certify_vd(c, strategy)
+    assert report.decomposable
+    assert validate_certificate(c, report.tree)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_projective_plane_join_sphere_is_not_decomposable(strategy):
+    # RP² on 1..6 joined with the boundary of the simplex on 7..13: each
+    # failed node is ridge connected, and only the link cut keeps the search
+    # far from its node budget
+    rp2 = [tuple(map(int, line.split())) for line in RP2.read_text().splitlines()]
+    sphere = list(itertools.combinations(range(7, 14), 6))
+    c = make_complex([f + g for f in rp2 for g in sphere])
+    start = time.perf_counter()
+    report = certify_vd(c, strategy)
+    assert time.perf_counter() - start < 1.0
+    assert not report.decomposable
+    obstruction_walk(c, report.obstruction)
 
 
 def test_base_cases():
@@ -238,8 +294,8 @@ def test_extremal_splits_keep_both_sides_extremal():
 
 def test_memoization_shares_isomorphic_subproblems():
     # the subcomplexes of a complete 3-uniform family recur along many
-    # paths; the exhaustive search memoizes equal ones (failures up to
-    # order-preserving relabeling) and must finish fast and correctly
+    # paths; the exhaustive search memoizes equal ones and must finish fast
+    # and correctly
     import itertools
 
     c = make_complex(list(itertools.combinations(range(1, 8), 3)))
@@ -283,21 +339,35 @@ def obstruction_walk(c, steps) -> list:
     raise AssertionError(f"{steps} does not end at an impure deletion")
 
 
+def disjoint_union(rng) -> tuple[int, list]:
+    """(a + b, two random k-uniform families on 1..a and a+1..a+b), a + b <= 8."""
+    k = rng.randint(1, 3)
+    a = rng.randint(k, 8 - k)
+    b = rng.randint(k, 8 - a)
+    first = random_family(rng, k, a, rng.randint(1, 6))
+    second = random_family(rng, k, b, rng.randint(1, 6))
+    return a + b, first + [Face(*(v + a for v in f)) for f in second]
+
+
 def test_verdicts_match_brute_force_oracle():
-    # negative verdicts come only from the exhaustive search and its memo;
+    # negative verdicts come only from the exhaustive search and its cuts;
     # compare every verdict with the definition on small pure complexes
     rng = random.Random(1302)
     negatives = 0
-    for draw in range(1300):
-        # the last 300 are denser: with 10-14 triangles on 7 vertices a
-        # reported path can pass through a failure first met elsewhere under
-        # other labels and moved onto these
-        dense = draw >= 1000
-        nv = 7 if dense else rng.randint(2, 8)
-        k = 3 if dense else rng.randint(1, min(nv, 4))
-        labels = rng.sample(range(1, 65), nv)
-        n = rng.randint(10, 14) if dense else rng.randint(1, 8)
-        family = random_family(rng, k, nv, n)
+    for draw in range(1600):
+        if draw < 1300:
+            # draws 1000-1299 are denser: 10-14 triangles on 7 vertices
+            dense = draw >= 1000
+            nv = 7 if dense else rng.randint(2, 8)
+            k = 3 if dense else rng.randint(1, min(nv, 4))
+            labels = rng.sample(range(1, 65), nv)
+            n = rng.randint(10, 14) if dense else rng.randint(1, 8)
+            family = random_family(rng, k, nv, n)
+        else:
+            # the last 300 are disjoint unions of two families on at most 8
+            # labels in total, which for k >= 2 are not ridge connected
+            nv, family = disjoint_union(rng)
+            labels = rng.sample(range(1, 65), nv)
         facets = [[labels[v - 1] for v in f] for f in family]
         expected = brute_vertex_decomposable(facets)
         for strategy in STRATEGIES:
