@@ -60,7 +60,8 @@ def analyze_complex(c: SimplicialComplex) -> AnalysisReport:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    # undecodable bytes reach the parser, as on stdin, and fail there
+    return Path(path).read_text(errors="surrogateescape")
 
 
 def _load_complex(path: str) -> SimplicialComplex:

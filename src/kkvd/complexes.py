@@ -67,10 +67,6 @@ class Face:
         self._vertices: tuple[int, ...] = tuple(sorted(seen))
 
     @classmethod
-    def of(cls, labels: Iterable[int]) -> "Face":
-        return cls(*labels)
-
-    @classmethod
     def _unsafe(cls, vertices: tuple[int, ...]) -> "Face":
         # internal: caller guarantees a sorted tuple of valid labels
         f = object.__new__(cls)

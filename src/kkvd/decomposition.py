@@ -10,13 +10,17 @@ differ only in which vertices a node tries.
 
 * ``EXHAUSTIVE`` tries every vertex in ascending order.
 * ``EXTREMAL`` exploits the Kruskal-Katona structure of complexes that
-  attain the shadow bound and tries one vertex.  A *complete* family, all
-  k-subsets of its support (``len(masks) == C(|support|, k)``), is
-  extremal and any vertex sheds, so the smallest does, with no shadow and
-  no witness scan; otherwise a witness vertex found by the counting
-  dichotomy keeps both the link and the deletion extremal, so the search
-  never fails and never backtracks.  The guard that a node attains the
-  shadow bound runs once per distinct non-complete node.
+  attain the shadow bound and tries one vertex.  By the paper's lemma the
+  link and the deletion of a witness vertex (found by the counting
+  dichotomy), or of any vertex of a *complete* family (all k-subsets of
+  its support, which has no witness), are extremal again, so the search
+  sheds the witness or the smallest vertex, never fails and never
+  backtracks.  Only the root is tested for extremality.  Answers stay
+  exact without a per-node test: links and deletions are exact masks, a
+  deletion's purity is checked before the search enters it, and
+  ``certify_vd`` raises ``NotExtremal`` if the one-candidate search
+  fails; a wrong shedding vertex could give only a valid certificate or
+  that error.
 
 One call memoizes the search on the sorted facet masks, which are never
 compacted, so a subcomplex reached twice is searched once and both parents
@@ -48,14 +52,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _union
 from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
 from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
-from .kruskal_katona import _attains_bound, _witness_scan, is_extremal
+from .kruskal_katona import _witness_scan, is_extremal
 
 # distinct subcomplexes one certify_vd call may search
 _NODE_BUDGET = 4096
@@ -187,14 +190,12 @@ def certify_vd(
     if not c.is_pure:
         raise NotPure(f"{c!r} is not pure")
     labels, masks = c.vertex_set, c._facet_masks
-    extremal = strategy is not Strategy.EXHAUSTIVE and (
-        _base_tree(labels, masks) is not None or is_extremal(c)
-    )
+    extremal = strategy is not Strategy.EXHAUSTIVE and (c.is_empty or is_extremal(c))
     if strategy is Strategy.EXTREMAL and not extremal:
         raise NotExtremal(f"{c!r} does not attain the shadow bound")
     tree, path = _certify(labels, masks, extremal, {})
     if extremal and tree is None:
-        # unreachable: the witness keeps the deletion extremal, so pure
+        # unreachable: the paper's lemma keeps every link and deletion extremal
         raise NotExtremal("a subcomplex does not attain the shadow bound")
     return VDReport(
         decomposable=tree is not None,
@@ -227,7 +228,12 @@ def _shed(labels, masks, extremal, memo):
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
-    candidates = (_extremal_vertex(masks),) if extremal else _bits(_union(masks))
+    if extremal:
+        hit = _witness_scan(masks)
+        # no witness: a complete family, where any vertex sheds
+        candidates = (next(_bits(_union(masks))) if hit is None else hit[0],)
+    else:
+        candidates = _bits(_union(masks))
     first_failure = shared = None
     for x in candidates:
         # the link of a vertex in a pure complex is pure
@@ -280,18 +286,6 @@ def _ridges(masks) -> tuple[bool, set[int]]:
                 shared.add(m ^ low)
                 parent[root(i)] = root(j)
     return len({root(i) for i in range(len(masks))}) == 1, shared
-
-
-def _extremal_vertex(masks) -> int:
-    """The bit an extremal node sheds: its smallest if complete, else the witness."""
-    support, k = _union(masks), masks[0].bit_count()
-    pure = _is_pure(masks)
-    complete = pure and len(masks) == math.comb(support.bit_count(), k)
-    if not (complete or pure and _attains_bound(masks)):
-        # unreachable from certify_vd; guards direct internal misuse
-        raise NotExtremal("a subcomplex does not attain the shadow bound")
-    hit = None if complete else _witness_scan(masks)
-    return (support & -support).bit_length() - 1 if hit is None else hit[0]
 
 
 def diagnose_certificate(

@@ -57,6 +57,9 @@ def parse_facets(text: str) -> list[Face]:
         labels = []
         for token in line.split():
             try:
+                # int() alone also takes signs, underscores and non-ASCII digits
+                if not (token.isascii() and token.isdigit()):
+                    raise ValueError(token)
                 value = int(token)
             except ValueError:
                 raise ParseError(f"expected a positive integer, got {token!r}", lineno)

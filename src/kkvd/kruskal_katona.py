@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .complexes import Face, FaceFamily, SimplicialComplex
+from .complexes import Face, FaceFamily, SimplicialComplex, squashed_key
 from .complexes import _bits, _face_of, _masks_of, _shadow_masks, _union
 from .errors import EmptyComplex, InvalidInput, NotPure, Overflow, SizeMismatch
 
@@ -39,10 +39,8 @@ def squashed_cmp(a: Face, b: Face) -> int:
     """-1, 0, or 1 as `a` precedes, equals, or follows `b` in squashed order."""
     if len(a) != len(b):
         raise SizeMismatch(f"cannot compare a {len(a)}-set with a {len(b)}-set")
-    ra, rb = tuple(reversed(a.vertices)), tuple(reversed(b.vertices))
-    if ra == rb:
-        return 0
-    return -1 if ra < rb else 1
+    ka, kb = squashed_key(a.vertices), squashed_key(b.vertices)
+    return (ka > kb) - (ka < kb)
 
 
 def colex_rank(face: Face) -> int:
@@ -134,8 +132,9 @@ def shadow(family: FaceFamily) -> FaceFamily:
     if k == 0:
         return FaceFamily((), size=0)
     support = family.support
-    masks = _shadow_masks(_masks_of(family, support))
-    return FaceFamily((_face_of(m, support) for m in masks), size=k - 1)
+    # ascending masks over the sorted support are already in squashed order
+    masks = sorted(_shadow_masks(_masks_of(family, support)))
+    return FaceFamily._unsafe([_face_of(m, support) for m in masks], k - 1)
 
 
 @dataclass(frozen=True)
@@ -192,11 +191,7 @@ def is_extremal(c: SimplicialComplex) -> bool:
         raise EmptyComplex("extremality undefined for the empty complex")
     if not c.is_pure:
         raise NotPure(f"{c!r} is not pure")
-    return _attains_bound(c._facet_masks)
-
-
-def _attains_bound(masks) -> bool:
-    """Whether pure facet masks of size k = d + 1 attain the shadow bound."""
+    masks = c._facet_masks
     k = masks[0].bit_count()
     # the (d-1)-faces of a pure complex are exactly the facet shadow
     return k <= 1 or len(_shadow_masks(masks)) == delta(len(masks), k)
@@ -240,8 +235,15 @@ WitnessResult = Union[Witness, CompleteOnSupport]
 
 
 def _witness_scan(masks) -> tuple[int, int, int] | None:
-    """(bit, |shadow(B)|, |C|) for the lowest qualifying vertex bit, else None."""
-    for b in _bits(_union(masks)):
+    """(bit, |shadow(B)|, |C|) for the lowest qualifying vertex bit, else None.
+
+    A complete family (all k-subsets of its support) has |shadow(B)| <= |C|
+    at every vertex, so it returns None at once, taking no shadow.
+    """
+    support = _union(masks)
+    if len(masks) == math.comb(support.bit_count(), masks[0].bit_count()):
+        return None
+    for b in _bits(support):
         bit = 1 << b
         b_masks = [m for m in masks if not m & bit]
         c_count = len(masks) - len(b_masks)
@@ -257,7 +259,8 @@ def find_witness(family: FaceFamily) -> WitnessResult:
     Splitting at a vertex as in :func:`split_by_vertex`, a witness is a
     vertex where the shadow of the avoiding members strictly outnumbers the
     stripped members.  When no vertex qualifies the family must consist of
-    all k-subsets of its support, and that completeness is returned instead.
+    all k-subsets of its support, and that completeness is returned instead;
+    a complete family is recognised by its size, before any shadow.
     """
     if not family:
         raise InvalidInput("witness search needs a nonempty family")

@@ -349,9 +349,18 @@ def test_pipe_shadow_output_reparses():
     assert doc["is_extremal"] is True
 
 
-def test_exit_code_totality_over_error_paths():
+def test_exit_code_totality_over_error_paths(tmp_path):
+    underscored = tmp_path / "underscored.txt"
+    underscored.write_text("1_0 2\n+3 ٣\n", encoding="utf-8")
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"1 2\n\xff 3\n")
     cases = [
         (["gen", "3", "5"], 0),
+        (["gen", "0", "5"], 2),
+        (["gen", "3", "-1"], 2),
+        (["gen", "3", "5", "--avoid", "0"], 2),
+        (["analyze", str(underscored)], 2),
+        (["analyze", str(undecodable)], 2),
         (["vd", str(DATA / "path.txt")], 0),
         (["vd", str(DATA / "disjoint_edges.txt")], 1),
         (["vd", str(DATA / "nonpure.txt")], 2),

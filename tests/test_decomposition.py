@@ -22,6 +22,7 @@ from kkvd import (
     tree_depth,
     validate_certificate,
 )
+from kkvd import decomposition
 from kkvd.errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 
 from oracles import (
@@ -292,6 +293,29 @@ def test_extremal_splits_keep_both_sides_extremal():
                     assert is_extremal(deletion), (d, n, vertex)
 
 
+def test_lowest_vertex_shedding_gives_valid_tree_or_not_extremal(monkeypatch):
+    # with no witness every node sheds its lowest vertex, which the paper's
+    # lemma does not cover; exact links and deletions, the deletion purity
+    # check and the final NotExtremal still leave no wrong answer
+    monkeypatch.setattr(decomposition, "_witness_scan", lambda masks: None)
+    rng = random.Random(13)
+    outcomes = set()
+    for k in range(1, 5):
+        for n in range(1, 41):
+            family = segment(k, n)
+            support = sorted({v for f in family for v in f})
+            label = dict(zip(support, rng.sample(range(1, 65), len(support))))
+            c = make_complex([[label[v] for v in f] for f in family])
+            try:
+                tree = certify_vd(c, Strategy.EXTREMAL).tree
+            except NotExtremal:
+                outcomes.add("refused")
+                continue
+            assert validate_certificate(c, tree), (k, n)
+            outcomes.add("valid")
+    assert outcomes == {"valid", "refused"}
+
+
 def test_memoization_shares_isomorphic_subproblems():
     # the subcomplexes of a complete 3-uniform family recur along many
     # paths; the exhaustive search memoizes equal ones and must finish fast
@@ -454,6 +478,17 @@ def test_validate_point_leaf():
     assert validate_certificate(make_complex([(5,)]), Point(5))
     assert not validate_certificate(make_complex([(5,)]), Point(6))
     assert not validate_certificate(make_complex([(5, 6)]), Point(5))
+    # every other leaf kind, and a node that is no tree at all
+    point = make_complex([(1,)])
+    assert diagnose_certificate(make_complex([]), Empty()) is None
+    assert diagnose_certificate(point, Empty()) == (
+        "claimed empty, but complex is SimplicialComplex([{1}])"
+    )
+    assert diagnose_certificate(make_complex([()]), EmptyFace()) is None
+    assert diagnose_certificate(point, EmptyFace()) == (
+        "claimed {∅}, but complex is SimplicialComplex([{1}])"
+    )
+    assert diagnose_certificate(point, "split") == "unknown tree node 'split'"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

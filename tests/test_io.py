@@ -46,6 +46,12 @@ def test_parse_reports_line_numbers():
         parse_facets("1 2\nfoo bar\n")
     assert err.value.lineno == 2
     assert "foo" in str(err.value)
+    # int() reads each of these as a number; only ASCII digits are labels
+    for token in ["1_0", "+3", "٣", "²", "-1"]:
+        with pytest.raises(ParseError) as err:
+            parse_facets(f"1 2\n4 {token}\n")
+        assert err.value.lineno == 2, token
+        assert repr(token) in str(err.value), token
 
 
 def test_parse_rejects_nonpositive_labels():

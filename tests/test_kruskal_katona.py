@@ -24,6 +24,7 @@ from kkvd import (
     split_by_vertex,
     squashed_cmp,
 )
+from kkvd import kruskal_katona
 from kkvd.errors import (
     EmptyComplex,
     InvalidInput,
@@ -105,6 +106,20 @@ def test_unrank_validates_arguments():
         colex_unrank(0, 0)
     with pytest.raises(InvalidInput):
         colex_unrank(-1, 2)
+
+
+def test_segments_and_delta_validate_arguments():
+    for call, args in [
+        (segment, (0, 5)),
+        (segment, (3, -1)),
+        (segment_avoiding, (0, 5, 1)),
+        (segment_avoiding, (3, -1, 1)),
+        (segment_avoiding, (3, 5, 0)),
+        (delta, (5, 0)),
+        (delta, (-1, 3)),
+    ]:
+        with pytest.raises(InvalidInput):
+            call(*args)
 
 
 def test_rank_overflow_on_astronomical_labels():
@@ -315,6 +330,25 @@ def test_find_witness_returns_first_ascending_vertex():
 def test_find_witness_complete_family():
     w = find_witness(FaceFamily([Face(1, 2), Face(1, 3), Face(2, 3)]))
     assert w == CompleteOnSupport(support=(1, 2, 3))
+
+
+def test_find_witness_complete_family_takes_no_shadow(monkeypatch):
+    # a complete family is known by its size; no vertex's shadow is taken
+    calls = []
+
+    def counting(masks):
+        calls.append(masks)
+        return shadow_masks(masks)
+
+    shadow_masks = kruskal_katona._shadow_masks
+    monkeypatch.setattr(kruskal_katona, "_shadow_masks", counting)
+    for support, k in [((1, 2, 3), 2), (tuple(range(1, 11)), 4), ((2, 5, 7), 3)]:
+        family = FaceFamily(itertools.combinations(support, k))
+        assert find_witness(family) == CompleteOnSupport(support=support)
+    assert calls == []
+    # a family that is not complete is still scanned vertex by vertex
+    find_witness(FaceFamily([Face(1, 2, 3), Face(1, 2, 4)]))
+    assert calls
 
 
 def test_find_witness_single_set_is_complete_on_itself():

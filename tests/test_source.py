@@ -23,3 +23,25 @@ def test_each_private_helper_has_one_definition():
                 modules.setdefault(node.name, []).append(path.name)
     repeated = {name: where for name, where in modules.items() if len(where) > 1}
     assert modules and repeated == {}, repeated
+
+
+def test_each_private_helper_is_used():
+    # a private top-level function that no other code names is dead
+    defs, names = {}, []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                defs[stmt.name] = stmt
+            named = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+            names.append((stmt, named))
+    unused = sorted(
+        name
+        for name, stmt in defs.items()
+        if not any(name in named for other, named in names if other is not stmt)
+    )
+    assert defs and unused == [], unused
