@@ -11,23 +11,26 @@ The helpers below are the one copy of each mask operation: set bits, purity,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
 the only place labels get renumbered), faces to masks and back, the one
 face enumerator (:func:`_faces_of_size`, ascending masks in squashed
-order), a face count that stops past a limit, the shadow, link and
-deletion (through the shadow when the complex is pure, with no maximal
-filter).  The f-vector enumerates only a cone's base, then adds each cone
-point by f_i += f_{i-1}.  The recursions of :mod:`kkvd.decomposition` run
-on them directly and build no complex per node.  :class:`Face` and
-:class:`FaceFamily` exist only at the edges: the public API and parsing
-and formatting.  All public output is in terms of the original labels.
+order), a face count that stops past a limit, the shadow, the ridge
+tally, link and deletion (through the shadow when the complex is pure,
+with no maximal filter).  F-vectors count faces by the deletion-link
+recursion, or list them where that costs less (:func:`_face_counts`).
+The recursions of :mod:`kkvd.decomposition` run on them directly and
+build no complex per node.  :class:`Face` and :class:`FaceFamily` exist
+only at the edges: the public API and parsing and formatting.  All public
+output is in terms of the original labels.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
+    BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
     InvalidInput,
@@ -40,6 +43,10 @@ from .errors import (
 
 #: Mask width; a complex may use at most this many distinct vertex labels.
 MAX_VERTICES = 64
+#: Counting faces is charged in steps of about 0.1 µs: one per facet vertex
+#: of each subcomplex shed and _NODE_COST more, or _LISTED_COST per face
+#: listed.  One count may spend _COUNT_BUDGET steps.
+_COUNT_BUDGET, _NODE_COST, _LISTED_COST = 1 << 22, 100, 4
 
 FaceLike = Union["Face", Iterable[int]]
 
@@ -263,10 +270,65 @@ def _faces_of_size(masks: Iterable[int], k: int) -> list[int]:
     which is squashed order: max(A △ B) is in B exactly when A < B."""
     seen: set[int] = set()
     for fm in masks:
-        # a sum of distinct single bits is their union
-        singles = [1 << b for b in _bits(fm)]
-        seen.update(map(sum, itertools.combinations(singles, k)))
+        size = fm.bit_count()
+        if size == k:
+            seen.add(fm)
+        elif size > k:
+            singles, rest = [], fm
+            while rest:
+                singles.append(rest & -rest)
+                rest &= rest - 1
+            # a sum of distinct single bits is their union
+            seen.update(map(sum, itertools.combinations(singles, k)))
     return sorted(seen)
+
+
+def _face_counts(masks: Sequence[int]) -> list[int]:
+    """(f_-1, f_0, ...) of the complex the maximal masks generate.
+
+    The shedding recursion may spend as much as listing the faces would;
+    past that, listing counts them, unless it would pass ``_COUNT_BUDGET``,
+    which refuses the count with ``BudgetExceeded``.
+    """
+    listing = _LISTED_COST * sum(1 << m.bit_count() for m in masks)
+    try:
+        return _shed_counts(tuple(masks), {}, [min(listing, _COUNT_BUDGET)])
+    except BudgetExceeded:
+        if listing > _COUNT_BUDGET:
+            raise
+    top = max(map(int.bit_count, masks))
+    return [len(_faces_of_size(masks, k)) for k in range(top + 1)]
+
+
+def _shed_counts(masks: tuple[int, ...], memo: dict, left: list[int]) -> list[int]:
+    """(f_-1, f_0, ...) by shedding the top vertex x, memoized on the masks:
+    f(Δ) = f(del_x Δ) + f(lk_x Δ) one place up.
+
+    A cone point, whose deletion is its link, costs one node; all k-sets of
+    s vertices (a simplex, ∂Δ_s) have f_{i-1} = C(s, i) for i <= k.  Each
+    distinct subcomplex spends ``_NODE_COST`` steps, one per facet vertex,
+    and m²/8 more for m facets that are not pure, out of ``left[0]``.
+    """
+    if masks not in memo:
+        pure = _is_pure(masks)
+        # a deletion that is not pure tests each F - x against the other facets
+        left[0] -= _NODE_COST + sum(map(int.bit_count, masks))
+        left[0] -= 0 if pure else len(masks) ** 2 // 8
+        if left[0] < 0:
+            raise BudgetExceeded(
+                f"counting faces took more than its budget of {_COUNT_BUDGET} steps"
+            )
+        support = _union(masks)
+        s, k = support.bit_count(), masks[0].bit_count()
+        if pure and len(masks) == math.comb(s, k):
+            memo[masks] = [math.comb(s, i) for i in range(k + 1)]
+        else:
+            bit = 1 << (support.bit_length() - 1)
+            f_del = _shed_counts(tuple(sorted(_deletion_masks(masks, bit))), memo, left)
+            f_link = _shed_counts(tuple(sorted(_link_masks(masks, bit))), memo, left)
+            pairs = itertools.zip_longest(f_del, [0, *f_link], fillvalue=0)
+            memo[masks] = [a + b for a, b in pairs]
+    return memo[masks]
 
 
 def _count_faces(masks: Iterable[int], limit: int) -> int:
@@ -302,18 +364,44 @@ def _shadow_masks(masks: Iterable[int]) -> set[int]:
     return out
 
 
+def _ridges(masks: Sequence[int]) -> tuple[bool, dict[int, int], set[int]]:
+    """(whether equal-size masks connect through shared ridges, each ridge
+    with its first holder's index, the ridges two or more masks hold)."""
+    parent = list(range(len(masks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}
+    shared: set[int] = set()
+    for i, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = owner.setdefault(m ^ low, i)
+            if j != i:
+                shared.add(m ^ low)
+                parent[root(i)] = root(j)
+    return len({root(i) for i in range(len(masks))}) == 1, owner, shared
+
+
 def _deletion_masks(masks: Sequence[int], bit: int) -> list[int]:
     """Facets of the deletion of a vertex.
 
-    In a pure complex the facets avoiding the vertex stay, and F - x, one
-    size smaller, is a facet exactly when it lies in none of them, that is
-    when it is not in their shadow.
+    The facets avoiding the vertex stay, and F - x is a facet exactly when
+    none of them holds it (F - x ⊆ F' - x would force F ⊆ F').  In a pure
+    complex F - x is one size smaller, so that means it is not in their
+    shadow.
     """
-    if not _is_pure(masks):
-        return _maximal(f & ~bit for f in masks)
     kept = [f for f in masks if not f & bit]
+    stripped = [f ^ bit for f in masks if f & bit]
+    if not _is_pure(masks):
+        return kept + [s for s in stripped if all(s & g != s for g in kept)]
     covered = _shadow_masks(kept)
-    return kept + [f ^ bit for f in masks if f & bit and f ^ bit not in covered]
+    return kept + [s for s in stripped if s not in covered]
 
 
 class SimplicialComplex:
@@ -427,20 +515,14 @@ class SimplicialComplex:
 
     def face_count(self) -> int:
         """Total number of faces including the empty face."""
-        return 0 if self.dimension is None else 1 + sum(self.f_vector())
+        return 0 if self.is_empty else sum(_face_counts(self._facet_masks))
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_d); empty tuple for ``{∅}``."""
         d = self.dimension
         if d is None:
             raise EmptyComplex("f-vector undefined for the empty complex")
-        cone = _intersection(self._facet_masks)
-        base = [m & ~cone for m in self._facet_masks]
-        # (f_-1, f_0, ...) of the base, then one cone point at a time
-        f = [len(_faces_of_size(base, k)) for k in range(d + 2 - cone.bit_count())]
-        for _ in range(cone.bit_count()):
-            f = [a + b for a, b in zip(f + [0], [0] + f)]
-        return tuple(f[1:])
+        return tuple(_face_counts(self._facet_masks)[1:])
 
     # -- derived complexes -------------------------------------------------
 

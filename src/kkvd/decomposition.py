@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _union
-from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal
+from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal, _ridges
 from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _witness_scan, is_extremal
 
@@ -228,21 +228,21 @@ def _shed(labels, masks, extremal, memo):
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
+    first_failure = shared = deletion = None
     if extremal:
-        hit = _witness_scan(masks)
+        hit, deletion = _witness_scan(masks)
         # no witness: a complete family, where any vertex sheds
         candidates = (next(_bits(_union(masks))) if hit is None else hit[0],)
     else:
         candidates = _bits(_union(masks))
-    first_failure = shared = None
     for x in candidates:
         # the link of a vertex in a pure complex is pure
         bit, v = 1 << x, labels[x]
-        if shared is None:
-            deletion = _deletion_masks(masks, bit)
-        else:
+        if shared is not None:
             # F ∌ x stays (F + x is no ridge); F - x stays unless another facet has it
             deletion = [f & ~bit for f in masks if f ^ bit not in shared]
+        elif deletion is None:
+            deletion = _deletion_masks(masks, bit)
         if not _is_pure(deletion):
             failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
@@ -258,34 +258,11 @@ def _shed(labels, masks, extremal, memo):
             failure = (ObstructionStep(v, "deletion is not decomposable"),) + del_path
         if first_failure is None:
             first_failure = failure
-            connected, shared = _ridges(masks)
+            connected, _, shared = _ridges(masks)
             if not connected:
                 # a decomposable complex is shellable, so connected by ridges
                 break
     return None, first_failure
-
-
-def _ridges(masks) -> tuple[bool, set[int]]:
-    """(whether a pure family's facets connect through shared ridges, those ridges)."""
-    parent = list(range(len(masks)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    owner: dict[int, int] = {}
-    shared: set[int] = set()
-    for i, m in enumerate(masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = owner.setdefault(m ^ low, i)
-            if j != i:
-                shared.add(m ^ low)
-                parent[root(i)] = root(j)
-    return len({root(i) for i in range(len(masks))}) == 1, shared
 
 
 def diagnose_certificate(

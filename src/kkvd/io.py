@@ -28,7 +28,7 @@ format-1 certificate costs its distinct nodes plus the copying of its text.
 from __future__ import annotations
 
 import json
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .complexes import MAX_VERTICES, Face
 from .decomposition import (
@@ -50,25 +50,31 @@ WRITTEN_NODE_BUDGET = 2**20
 def parse_facets(text: str) -> list[Face]:
     """Parse facet-list text; raises :class:`ParseError` with a line number."""
     faces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        labels = []
-        for token in line.split():
-            try:
-                # int() alone also takes signs, underscores and non-ASCII digits
-                if not (token.isascii() and token.isdigit()):
-                    raise ValueError(token)
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"expected a positive integer, got {token!r}", lineno)
-            labels.append(value)
         try:
-            faces.append(Face(*labels))
-        except InvalidLabel as exc:
-            raise ParseError(str(exc), lineno)
+            # int() alone also takes signs, underscores and non-ASCII digits
+            if not (line.isascii() and all(map(str.isdigit, tokens))):
+                raise ValueError
+            labels = sorted(set(map(int, tokens)))
+        except ValueError:  # name the first bad token; non-ASCII blanks pass
+            labels = sorted(set(_labels(tokens, lineno)))
+        if labels[0] < 1:  # 0, as every label is ASCII digits
+            raise ParseError("vertex labels must be integers >= 1, got 0", lineno)
+        faces.append(Face._unsafe(tuple(labels)))
     return faces
+
+
+def _labels(tokens: list[str], lineno: int) -> Iterator[int]:
+    for token in tokens:
+        try:
+            if not (token.isascii() and token.isdigit()):
+                raise ValueError(token)
+            yield int(token)
+        except ValueError:
+            raise ParseError(f"expected a positive integer, got {token!r}", lineno)
 
 
 def format_facets(faces: Iterable[Face]) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .complexes import Face, FaceFamily, SimplicialComplex, squashed_key
-from .complexes import _bits, _face_of, _masks_of, _shadow_masks, _union
+from .complexes import _bits, _face_of, _masks_of, _ridges, _shadow_masks, _union
 from .errors import EmptyComplex, InvalidInput, NotPure, Overflow, SizeMismatch
 
 _I64_MAX = 2**63 - 1
@@ -234,23 +234,45 @@ class CompleteOnSupport:
 WitnessResult = Union[Witness, CompleteOnSupport]
 
 
-def _witness_scan(masks) -> tuple[int, int, int] | None:
-    """(bit, |shadow(B)|, |C|) for the lowest qualifying vertex bit, else None.
+def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, list[int] | None]:
+    """((bit, |shadow(B)|, |C|) for the lowest qualifying vertex bit, else
+    None; the facets of the deletion of that vertex, or of the lowest one).
 
     A complete family (all k-subsets of its support) has |shadow(B)| <= |C|
-    at every vertex, so it returns None at once, taking no shadow.
+    at every vertex, so it returns at once.  Low vertices are tried by the
+    shadow of B, in which F - v must lie to leave the deletion; once their
+    B hold as many facets as the family, one ridge tally counts each later
+    v: a ridge avoiding v is in shadow(B) unless its one facet is it + v.
     """
     support = _union(masks)
     if len(masks) == math.comb(support.bit_count(), masks[0].bit_count()):
-        return None
-    for b in _bits(support):
-        bit = 1 << b
+        # F - v lies in another facet unless F is the only one
+        low = support & -support
+        return None, [m & ~low for m in masks if len(masks) == 1 or not m & low]
+    rest, tried = support, 0
+    while rest and tried < len(masks):
+        bit = rest & -rest
+        rest ^= bit
         b_masks = [m for m in masks if not m & bit]
+        covered = _shadow_masks(b_masks)
         c_count = len(masks) - len(b_masks)
-        shadow_b = len(_shadow_masks(b_masks))
-        if shadow_b > c_count:
-            return b, shadow_b, c_count
-    return None
+        if len(covered) > c_count:
+            hit = bit.bit_length() - 1, len(covered), c_count
+            stripped = [m ^ bit for m in masks if m & bit]
+            return hit, b_masks + [m for m in stripped if m not in covered]
+        tried += len(b_masks)
+    _, ridges, shared = _ridges(masks)
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        stripped = [m ^ bit for m in masks if m & bit]
+        lone = len(stripped) - len(shared.intersection(stripped))
+        # each ridge through the vertex adds bit to the sum
+        shadow_b = len(ridges) - sum(map(bit.__and__, ridges)) // bit - lone
+        if shadow_b > len(stripped):
+            hit = bit.bit_length() - 1, shadow_b, len(stripped)
+            return hit, [m & ~bit for m in masks if m ^ bit not in shared]
+    return None, None
 
 
 def find_witness(family: FaceFamily) -> WitnessResult:
@@ -265,7 +287,7 @@ def find_witness(family: FaceFamily) -> WitnessResult:
     if not family:
         raise InvalidInput("witness search needs a nonempty family")
     support = family.support
-    hit = _witness_scan(_masks_of(family, support))
+    hit, _ = _witness_scan(_masks_of(family, support))
     if hit is None:
         return CompleteOnSupport(support=support)
     b, shadow_b, c_count = hit

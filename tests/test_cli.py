@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,6 +287,33 @@ def test_wide_skeleton_ends_quickly(m, k, tmp_path, capsys):
     assert [codes[tuple(argv)] for argv in CERTIFICATE_ARGV] == [0, 0]
 
 
+@pytest.mark.parametrize("n", [24, 40])
+def test_analyze_simplex_boundary_ends_quickly(n, tmp_path, capsys):
+    # the 2^n - 1 faces of ∂Δ_n are counted, not listed
+    f = write_simplex_boundary(tmp_path / f"sphere{n}.txt", n)
+    start = time.perf_counter()
+    assert main(["analyze", str(f), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["f_vector"] == [math.comb(n, i + 1) for i in range(n - 1)]
+    assert doc["slack"] == 0
+
+
+def write_random_sets(path):
+    """40 seeded random 20-sets of 1..64, which share few faces."""
+    rng = random.Random(14)
+    sets = [sorted(rng.sample(range(1, 65), 20)) for _ in range(40)]
+    path.write_text("".join(" ".join(map(str, s)) + "\n" for s in sets))
+    return path
+
+
+def test_random_wide_sets_end_quickly(tmp_path, capsys):
+    # counting their faces takes more distinct subcomplexes than the budget
+    f = write_random_sets(tmp_path / "sets.txt")
+    assert_each_ends_quickly(f, ADVERSARIAL_ARGV[:2], capsys, ["budget"])
+    assert_each_ends_quickly(f, ADVERSARIAL_ARGV[2:], capsys, ["budget", "limit"])
+
+
 def write_two_cliques(path, first, second):
     """Write the edges of the cliques on two disjoint label sets."""
     edges = [*itertools.combinations(first, 2), *itertools.combinations(second, 2)]
@@ -318,6 +347,9 @@ def test_refusals_survive_python_optimize(tmp_path):
     disjoint = str(DATA / "disjoint_edges.txt")
     code, _, err = run_cli("vd", disjoint, "--strategy", "extremal", optimize=True)
     assert code == 2 and "shadow bound" in err
+    sets = write_random_sets(tmp_path / "sets.txt")
+    code, _, err = run_cli("analyze", str(sets), optimize=True)
+    assert code == 2 and "budget" in err
 
 
 # ---------------------------------------------------------------- pipes

@@ -1,11 +1,15 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkvd import Face, FaceFamily, SimplicialComplex, make_complex
+from kkvd.complexes import _LISTED_COST, _faces_of_size, _shed_counts
 from kkvd.errors import (
+    BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
     InvalidLabel,
@@ -15,6 +19,7 @@ from kkvd.errors import (
     VertexNotInComplex,
 )
 
+from corpus import extremal_families_on_six, segment_complexes, skeleton_complexes
 from oracles import brute_faces
 
 
@@ -177,6 +182,107 @@ def test_f_vector_of_simplex_is_binomial_row(k):
 
     c = make_complex([tuple(range(1, k + 1))])
     assert c.f_vector() == tuple(math.comb(k, i + 1) for i in range(k))
+
+
+def seeded_complexes(seed: int, count: int):
+    """Pure, non-pure and cone complexes on scattered labels up to 64, and {∅}."""
+    rng = random.Random(seed)
+    yield make_complex([()])
+    for i in range(count):
+        nv = rng.randint(1, 11)
+        labels = rng.sample(range(1, 65), nv)
+        sizes = [rng.randint(1, min(nv, 6))]
+        if i % 2:  # non-pure: facet sizes drawn per facet
+            sizes = [rng.randint(1, min(nv, 6)) for _ in range(8)]
+        faces = [
+            rng.sample(labels, rng.choice(sizes)) for _ in range(rng.randint(1, 12))
+        ]
+        if i % 3 == 0:  # a cone: some vertices join every face
+            apex = rng.sample([v for v in range(1, 65) if v not in labels], 2)
+            faces = [f + apex[: 1 + i % 2] for f in faces]
+        yield make_complex(faces)
+
+
+def test_f_vector_recursion_matches_listing():
+    # counting by deletion and link against listing every face, 2,401 inputs
+    checked = 0
+    for c in seeded_complexes(1401, 2400):
+        faces = brute_faces(f.vertices for f in c.facets)
+        by_size = [0] * (c.dimension + 2)
+        for face in faces:
+            by_size[len(face)] += 1
+        assert _shed_counts(c._facet_masks, {}, [10**9]) == by_size, c
+        assert c.f_vector() == tuple(by_size[1:]), c
+        assert c.face_count() == len(faces), c
+        listed = [len(_faces_of_size(c._facet_masks, k)) for k in range(len(by_size))]
+        assert listed == by_size, c
+        checked += 1
+    assert checked == 2401
+
+
+def test_f_vector_lists_faces_where_that_costs_less():
+    # 2,000 random 5-sets of 1..64 share few faces, so shedding them would
+    # reach thousands of subcomplexes; listing their 64,000 subsets is cheaper
+    rng = random.Random(1403)
+    c = make_complex([rng.sample(range(1, 65), 5) for _ in range(2000)])
+    listing = sum(1 << m.bit_count() for m in c._facet_masks)
+    assert listing == 64000
+    with pytest.raises(BudgetExceeded):
+        _shed_counts(c._facet_masks, {}, [_LISTED_COST * listing])
+    f = [len(_faces_of_size(c._facet_masks, k)) for k in range(1, 6)]
+    assert c.f_vector() == tuple(f)
+
+
+def test_f_vector_recursion_matches_listing_on_acceptance_corpus():
+    complexes = [*segment_complexes().values(), *skeleton_complexes().values()]
+    complexes += [make_complex(f) for f in extremal_families_on_six()]
+    assert len(complexes) >= 10000
+    for c in complexes:
+        faces = brute_faces(f.vertices for f in c.facets)
+        by_size = [sum(len(f) == k for f in faces) for k in range(c.dimension + 2)]
+        assert _shed_counts(c._facet_masks, {}, [10**9]) == by_size, c
+        assert c.f_vector() == tuple(by_size[1:]), c
+        assert c.face_count() == len(faces), c
+
+
+def head_faces_of_size(masks, k):
+    """The face enumerator as it was: every k-subset of every facet."""
+    seen = set()
+    for fm in masks:
+        singles = [1 << b for b in range(fm.bit_length()) if fm >> b & 1]
+        seen.update(map(sum, itertools.combinations(singles, k)))
+    return sorted(seen)
+
+
+def test_faces_of_size_matches_every_subset_listing():
+    # facets of exactly k bits are taken whole, smaller ones skipped
+    rng = random.Random(1402)
+    for _ in range(500):
+        masks = [rng.getrandbits(rng.randint(0, 14)) for _ in range(rng.randint(1, 8))]
+        top = max(m.bit_count() for m in masks)
+        for k in [0, *range(1, top + 1), top + 1, top + 5]:
+            assert _faces_of_size(masks, k) == head_faces_of_size(masks, k), (masks, k)
+
+
+def test_f_vector_of_simplex_boundary_and_skeleton_is_read_off():
+    # complete families end the recursion at once, whatever their size
+    for n in (24, 40, 64):
+        c = make_complex(itertools.combinations(range(1, n + 1), n - 1))
+        assert c.f_vector() == tuple(math.comb(n, i + 1) for i in range(n - 1))
+    c = make_complex(itertools.combinations(range(1, 25), 4))
+    assert c.f_vector() == (24, 276, 2024, 10626)
+    assert c.face_count() == 1 + 24 + 276 + 2024 + 10626
+
+
+def test_f_vector_budget_stops_counting():
+    # 40 random 20-sets of 1..64 share few faces: the recursion needs more
+    # distinct subcomplexes than its budget allows
+    rng = random.Random(14)
+    c = make_complex([rng.sample(range(1, 65), 20) for _ in range(40)])
+    with pytest.raises(BudgetExceeded, match="budget"):
+        c.f_vector()
+    with pytest.raises(BudgetExceeded, match="budget"):
+        c.face_count()
 
 
 # ---------------------------------------------------------------- link

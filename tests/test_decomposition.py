@@ -297,7 +297,7 @@ def test_lowest_vertex_shedding_gives_valid_tree_or_not_extremal(monkeypatch):
     # with no witness every node sheds its lowest vertex, which the paper's
     # lemma does not cover; exact links and deletions, the deletion purity
     # check and the final NotExtremal still leave no wrong answer
-    monkeypatch.setattr(decomposition, "_witness_scan", lambda masks: None)
+    monkeypatch.setattr(decomposition, "_witness_scan", lambda masks: (None, None))
     rng = random.Random(13)
     outcomes = set()
     for k in range(1, 5):

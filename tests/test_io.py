@@ -52,6 +52,19 @@ def test_parse_reports_line_numbers():
             parse_facets(f"1 2\n4 {token}\n")
         assert err.value.lineno == 2, token
         assert repr(token) in str(err.value), token
+    # a line is checked at once; the first bad token is still the one named
+    for text, message in [
+        ("1 2\n3 4 x5 -6\n", "line 2: expected a positive integer, got 'x5'"),
+        ("1 2\n\n3 0 2\n", "line 3: vertex labels must be integers >= 1, got 0"),
+        ("1 2\n00 7\n", "line 2: vertex labels must be integers >= 1, got 0"),
+        ("1 2\n3 " + "9" * 5000 + " x\n", "line 2: expected a positive integer, got '999"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_facets(text)
+        assert str(err.value).startswith(message), text
+    # duplicate labels collapse; tabs and other blanks separate labels
+    assert parse_facets("2 2 1\n3 1 3 1\n") == [Face(1, 2), Face(1, 3)]
+    assert parse_facets("1\t2\t3\n4\t 5\u00a06\n") == [Face(1, 2, 3), Face(4, 5, 6)]
 
 
 def test_parse_rejects_nonpositive_labels():

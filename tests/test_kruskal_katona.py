@@ -333,22 +333,65 @@ def test_find_witness_complete_family():
 
 
 def test_find_witness_complete_family_takes_no_shadow(monkeypatch):
-    # a complete family is known by its size; no vertex's shadow is taken
+    # a complete family is known by its size: neither a vertex's shadow nor
+    # the ridge tally is taken
     calls = []
 
-    def counting(masks):
-        calls.append(masks)
-        return shadow_masks(masks)
+    def counting(original):
+        def helper(masks):
+            calls.append(original.__name__)
+            return original(masks)
 
-    shadow_masks = kruskal_katona._shadow_masks
-    monkeypatch.setattr(kruskal_katona, "_shadow_masks", counting)
+        return helper
+
+    for name in ("_shadow_masks", "_ridges"):
+        monkeypatch.setattr(
+            kruskal_katona, name, counting(getattr(kruskal_katona, name))
+        )
     for support, k in [((1, 2, 3), 2), (tuple(range(1, 11)), 4), ((2, 5, 7), 3)]:
         family = FaceFamily(itertools.combinations(support, k))
         assert find_witness(family) == CompleteOnSupport(support=support)
     assert calls == []
-    # a family that is not complete is still scanned vertex by vertex
+    # a family that is not complete is still scanned
     find_witness(FaceFamily([Face(1, 2, 3), Face(1, 2, 4)]))
     assert calls
+
+
+def brute_witness(family):
+    """The first vertex whose avoiding part's shadow beats its stripped part."""
+    for v in family.support:
+        avoiding, stripped = split_by_vertex(family, v)
+        if len(shadow(avoiding)) > len(stripped):
+            return Witness(v, len(shadow(avoiding)), len(stripped))
+    return CompleteOnSupport(support=family.support)
+
+
+def test_witness_scan_matches_each_vertex_shadow(monkeypatch):
+    # low vertices are tried by their shadow, later ones by one ridge tally;
+    # both must give the first witness, its counts and the exact deletion
+    tallies = []
+    ridges = kruskal_katona._ridges
+    monkeypatch.setattr(
+        kruskal_katona, "_ridges", lambda m: tallies.append(m) or ridges(m)
+    )
+    rng = random.Random(14)
+    families = [segment(k, n) for k in (2, 3, 4) for n in range(1, 80, 7)]
+    for _ in range(600):
+        k = rng.randint(1, 4)
+        families.append(
+            FaceFamily(random_family(rng, k, rng.randint(k, 9), rng.randint(1, 40)))
+        )
+    for family in families:
+        result = find_witness(family)
+        assert result == brute_witness(family), list(family)
+        if isinstance(result, Witness):
+            c = make_complex(family)
+            _, deletion = kruskal_katona._witness_scan(c._facet_masks)
+            labels = c.vertex_set
+            got = {tuple(v for b, v in enumerate(labels) if m >> b & 1) for m in deletion}
+            want = {f.vertices for f in c.delete_vertex(result.vertex).facets}
+            assert len(deletion) == len(got) and got == want, list(family)
+    assert tallies
 
 
 def test_find_witness_single_set_is_complete_on_itself():
