@@ -364,16 +364,38 @@ def _shadow_masks(masks: Iterable[int]) -> set[int]:
     return out
 
 
+def _root(parent: list[int], i: int) -> int:
+    """The root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _components(masks: Sequence[int]) -> tuple[int, int]:
+    """(vertices, connected components) of the complex the masks generate:
+    one union-find pass joins each mask's vertices to its lowest, and every
+    join of two roots leaves one component fewer."""
+    union = _union(masks)
+    parent = list(range(union.bit_length()))
+    vertices = components = union.bit_count()
+    for m in masks:
+        rest = m & (m - 1)  # the bits above the lowest
+        if rest:
+            first = _root(parent, (m ^ rest).bit_length() - 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                other = _root(parent, low.bit_length() - 1)
+                if other != first:
+                    parent[other] = first
+                    components -= 1
+    return vertices, components
+
+
 def _ridges(masks: Sequence[int]) -> tuple[bool, dict[int, int], set[int]]:
     """(whether equal-size masks connect through shared ridges, each ridge
     with its first holder's index, the ridges two or more masks hold)."""
     parent = list(range(len(masks)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     owner: dict[int, int] = {}
     shared: set[int] = set()
     for i, m in enumerate(masks):
@@ -384,8 +406,8 @@ def _ridges(masks: Sequence[int]) -> tuple[bool, dict[int, int], set[int]]:
             j = owner.setdefault(m ^ low, i)
             if j != i:
                 shared.add(m ^ low)
-                parent[root(i)] = root(j)
-    return len({root(i) for i in range(len(masks))}) == 1, owner, shared
+                parent[_root(parent, i)] = _root(parent, j)
+    return sum(parent[i] == i for i in range(len(masks))) == 1, owner, shared
 
 
 def _deletion_masks(masks: Sequence[int], bit: int) -> list[int]:

@@ -4,11 +4,16 @@ The chain complex is augmented: the empty face spans degree -1, so the
 degree-0 boundary matrix is the all-ones augmentation row and the computed
 Betti numbers are reduced.  Boundary matrices come from face masks: rows
 are indexed by mask, and column m has (-1)^j at row m minus its j-th bit.
-f_i is read off the column count of d_i, so reduced_betti enumerates
-each dimension at most twice.  Ranks are exact in both fields: GF(2) rows
-are bit-packed integers eliminated by xor, rational ranks come from a row
-echelon on sparse integer rows (Dumas, Saunders and Villard 2001), whose
-steps are integer multiples and exact gcd divisions, never rounded.
+Two ranks hold in every field and need no matrix: rank d_0 = 1, and
+rank d_1 = f_0 - c for the c connected components, which one union-find
+pass over the facets counts.  So reduced_betti builds only d_2..d_d, reads
+f_1 off the row count of d_2 (or counts the edges when d = 1) and f_i off
+the column count of d_i, and lists the faces of each dimension 1..d at
+most twice; a complex of dimension at most 1 needs no matrix at all.
+Ranks are exact in both fields: GF(2) rows are bit-packed integers
+eliminated by xor, rational ranks come from a row echelon on sparse
+integer rows (Dumas, Saunders and Villard 2001), whose steps are integer
+multiples and exact gcd divisions, never rounded.
 
 Reisner's criterion then reads: a complex is Cohen-Macaulay over a field
 exactly when every face has a link with vanishing reduced homology below
@@ -31,8 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex, _bits, _compact, _count_faces
-from .complexes import _face_of, _faces_of_size, _intersection, _link_masks, _masks_of
+from .complexes import Face, SimplicialComplex, _bits, _compact, _components
+from .complexes import _count_faces, _face_of, _faces_of_size, _intersection
+from .complexes import _link_masks, _masks_of
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
@@ -67,11 +73,22 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
     return matrix
 
 
+def _check_integers(row: list[int], rank: str) -> None:
+    """Refuse a row holding anything but ints (bools count as 0 and 1)."""
+    try:  # a float, Fraction or other non-int entry makes the sum non-int
+        if type(sum(row)) is int:
+            return
+    except TypeError:
+        pass
+    raise InvalidInput(f"{rank} rank needs integer entries")
+
+
 def rank_gf2(matrix: list[list[int]]) -> int:
     """Rank over GF(2); each row is packed into one integer and xored down."""
     pivots: dict[int, int] = {}
     rank = 0
     for row in matrix:
+        _check_integers(row, "GF(2)")
         packed = 0
         for j, v in enumerate(row):
             if v & 1:
@@ -98,11 +115,7 @@ def rank_rational(matrix: list[list[int]]) -> int:
     """
     pivots: dict[int, dict[int, int]] = {}
     for dense in matrix:
-        try:  # a float, Fraction or other non-int entry makes the sum non-int
-            if type(sum(dense)) is not int:
-                raise TypeError
-        except TypeError:
-            raise InvalidInput("rational rank needs integer entries") from None
+        _check_integers(dense, "rational")
         row = {j: dense[j] for j in itertools.compress(itertools.count(), dense)}
         while row:
             top = max(row)
@@ -147,20 +160,29 @@ class BettiProfile:
 def reduced_betti(
     c: SimplicialComplex, field: CoefficientField = CoefficientField.RATIONALS
 ) -> BettiProfile:
-    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}."""
+    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}.
+
+    rank d_0 = 1 and rank d_1 = f_0 - (connected components) in every
+    field, so only d_2..d_d are built and ranked.
+    """
     d = c.dimension
     if d is None:
         raise EmptyComplex("homology undefined for the empty complex")
-    if _intersection(c._facet_masks):
+    masks = c._facet_masks
+    if _intersection(masks):
         # a cone is contractible, so its reduced homology vanishes
         return BettiProfile(reduced=(0,) * (d + 2), field=field)
     rank = rank_gf2 if field is CoefficientField.GF2 else rank_rational
-    f, r = [], []
-    for i in range(d + 1):
+    f0, components = _components(masks)
+    # f_1 is the edge facets' count when d = 1, d_2's row count past that
+    f = [f0, sum(m.bit_count() == 2 for m in masks)]
+    r = [1, f0 - components]
+    for i in range(2, d + 1):
         matrix = boundary_matrix(c, i)  # rows hold the (i-1)-faces, never none
+        f[i - 1] = len(matrix)
         f.append(len(matrix[0]))
         r.append(rank(matrix))
-    r.append(0)  # no boundaries arrive from degree d+1
+    f, r = f[: d + 1], r[: d + 1] + [0]  # no boundaries arrive from degree d+1
     # the empty face spans degree -1 and maps to zero
     betti = [1 - r[0]] + [f[i] - r[i] - r[i + 1] for i in range(d + 1)]
     return BettiProfile(reduced=tuple(betti), field=field)

@@ -352,6 +352,18 @@ def test_refusals_survive_python_optimize(tmp_path):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("name", ["rp2", "disjoint_edges", "hollow_triangle"])
+def test_homology_answers_survive_python_optimize(name):
+    # the same bytes and exit codes with assert statements stripped
+    path = str(DATA / f"{name}.txt")
+    for command in ("betti", "reisner"):
+        for field in ("gf2", "q"):
+            argv = [command, path, "--field", field]
+            code, out, _ = run_cli(*argv)
+            assert code in (0, 1) and out
+            assert run_cli(*argv, optimize=True)[:2] == (code, out), argv
+
+
 # ---------------------------------------------------------------- pipes
 
 
@@ -421,6 +433,12 @@ GOLDEN_CASES = [
     (
         "betti_hollow_triangle.json",
         ["betti", str(DATA / "hollow_triangle.txt"), "--json"],
+    ),
+    ("betti_rp2_gf2.json", ["betti", str(DATA / "rp2.txt"), "--field", "gf2", "--json"]),
+    ("betti_rp2_q.json", ["betti", str(DATA / "rp2.txt"), "--field", "q", "--json"]),
+    (
+        "betti_disjoint_edges.json",
+        ["betti", str(DATA / "disjoint_edges.txt"), "--json"],
     ),
     ("reisner_rp2_gf2.json", ["reisner", str(DATA / "rp2.txt"), "--field", "gf2", "--json"]),
     ("reisner_rp2_q.json", ["reisner", str(DATA / "rp2.txt"), "--field", "q", "--json"]),

@@ -1,12 +1,15 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+import kkvd.homology
 from kkvd import (
     CoefficientField,
     Face,
+    SimplicialComplex,
     Violation,
     boundary_matrix,
     make_complex,
@@ -16,7 +19,7 @@ from kkvd import (
     reisner_cm_check,
     segment,
 )
-from kkvd.errors import BudgetExceeded, EmptyComplex, KKError, OutOfRange
+from kkvd.errors import BudgetExceeded, EmptyComplex, InvalidInput, KKError, OutOfRange
 
 from oracles import (
     betti_oracle,
@@ -132,6 +135,24 @@ def test_rank_rational_rejects_inexact_elimination():
         rank_rational([[3, 1, 1], [1, 3, 1], [1, 1, 2.5]])
 
 
+@pytest.mark.parametrize("rank", [rank_gf2, rank_rational])
+@pytest.mark.parametrize(
+    "entry",
+    [1.0, 0.5, "1", Fraction(1), Fraction(1, 2)],
+    ids=["float", "half-float", "str", "fraction", "half-fraction"],
+)
+def test_ranks_refuse_non_integer_entries(rank, entry):
+    with pytest.raises(InvalidInput, match="rank needs integer entries"):
+        rank([[1, 0], [0, entry]])
+
+
+@pytest.mark.parametrize("rank", [rank_gf2, rank_rational])
+def test_ranks_count_bools_as_zero_and_one(rank):
+    assert rank([[True, False], [False, True]]) == 2
+    assert rank([[True, True], [True, True]]) == 1
+    assert rank([[False, False]]) == 0
+
+
 # ---------------------------------------------------------------- betti
 
 
@@ -200,6 +221,89 @@ def test_projective_plane_profiles(projective_plane):
     # pre-verified against the brute-force oracle as well
     assert betti_oracle(projective_plane, rational=True) == [0, 0, 0, 0]
     assert betti_oracle(projective_plane, rational=False) == [0, 0, 1, 1]
+
+
+def component_inputs(rng, count=320):
+    """Disjoint unions of 1-3 random pieces plus 0-3 isolated points.
+
+    Three in four have facets of at most two vertices (points and graphs),
+    the rest at most three; facet sizes are mixed, so many are not pure.
+    """
+    for t in range(count):
+        top = (1, 2, 2, 3)[t % 4]
+        facets, start = [], 0
+        for _ in range(rng.randint(1, 3)):
+            nv = rng.randint(1, 6)
+            for _ in range(rng.randint(1, 6)):
+                size = rng.randint(1, min(nv, top))
+                facets.append(tuple(start + v for v in rng.sample(range(1, nv + 1), size)))
+            start += nv
+        facets += [(start + i,) for i in range(1, rng.randint(1, 4))]
+        yield make_complex(facets)
+
+
+def test_component_ranks_match_oracle_on_graphs_and_unions():
+    rng = random.Random(73)
+    disconnected = low = nonpure = 0
+    for c in component_inputs(rng):
+        want_q = betti_oracle(c, rational=True)
+        assert list(reduced_betti(c, Q).reduced) == want_q, c
+        assert list(reduced_betti(c, GF2).reduced) == betti_oracle(c, rational=False), c
+        disconnected += want_q[1] > 0
+        low += c.dimension <= 1
+        nonpure += not c.is_pure
+    # the inputs lean on the paths the components decide
+    assert disconnected >= 200 and low >= 200 and nonpure >= 100
+
+
+@pytest.mark.parametrize(
+    "facets,gf2,q",
+    [
+        ([()], (1,), (1,)),
+        ([(7,)], (0, 0), (0, 0)),
+        (RP2_FACETS + [tuple(v + 6 for v in f) for f in RP2_FACETS], (0, 1, 2, 2), (0, 1, 0, 0)),
+    ],
+    ids=["empty-face", "point", "two-rp2"],
+)
+def test_small_and_disconnected_profiles(facets, gf2, q):
+    c = make_complex(facets)
+    assert reduced_betti(c, GF2).reduced == gf2
+    assert reduced_betti(c, Q).reduced == q
+    assert list(gf2) == betti_oracle(c, rational=False)
+    assert list(q) == betti_oracle(c, rational=True)
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_boundary_matrices_built_only_from_degree_two(monkeypatch, field):
+    built = []
+    real = kkvd.homology.boundary_matrix
+    monkeypatch.setattr(
+        kkvd.homology, "boundary_matrix", lambda c, i: built.append(i) or real(c, i)
+    )
+    for d in range(5):
+        sphere = make_complex(itertools.combinations(range(1, d + 3), d + 1))
+        built.clear()
+        assert reduced_betti(sphere, field).reduced == (0,) * (d + 1) + (1,)
+        assert built == list(range(2, d + 1))
+        built.clear()
+        assert reduced_betti(with_apex(sphere), field).reduced == (0,) * (d + 3)
+        assert built == []
+    for facets in ([()], [(1,)], [(1, 2), (3,)], [(1, 2), (2, 3), (3, 1), (4, 5)]):
+        reduced_betti(make_complex(facets), field)
+    assert built == []
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_components_take_linear_time(field):
+    # past the 64-label limit of the public constructors, so built from masks
+    n = 5000
+    labels = range(1, n + 1)
+    points = SimplicialComplex._from_masks(labels, [1 << i for i in range(n)])
+    path = SimplicialComplex._from_masks(labels, [3 << i for i in range(n - 1)])
+    for c, want in ((points, (0, n - 1)), (path, (0, 0, 0))):
+        start = time.perf_counter()
+        assert reduced_betti(c, field).reduced == want
+        assert time.perf_counter() - start < 0.1
 
 
 def with_apex(c):
