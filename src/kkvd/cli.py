@@ -20,8 +20,7 @@ from .decomposition import Strategy, certify_vd, find_shelling
 from .errors import KKError, ParseError
 from .homology import FACE_BUDGET, CoefficientField, _check_face_budget
 from .homology import reduced_betti, reisner_cm_check
-from .io import WRITTEN_NODE_BUDGET, _check_written_nodes, certificate_document
-from .io import format_facets, parse_facets, write_json
+from .io import certificate_document, format_facets, parse_facets, write_json
 from .kruskal_katona import delta, segment, segment_avoiding, shadow
 
 
@@ -68,17 +67,9 @@ def _load_complex(path: str) -> SimplicialComplex:
     return make_complex(parse_facets(_read_text(path)))
 
 
-def _load_family(path: str) -> FaceFamily:
-    return FaceFamily(parse_facets(_read_text(path)))
-
-
 def _print_json(doc: dict) -> None:
     write_json(doc, sys.stdout)
     sys.stdout.write("\n")
-
-
-def _field(name: str) -> CoefficientField:
-    return CoefficientField(name)
 
 
 def _yesno(flag: bool | None) -> str:
@@ -115,7 +106,6 @@ def cmd_vd(args: argparse.Namespace) -> int:
     report = certify_vd(c, Strategy(args.strategy))
     if report.decomposable:
         if args.cert or args.json:
-            _check_written_nodes(report.tree, WRITTEN_NODE_BUDGET)
             doc = certificate_document(c.facets, report.strategy_used, report.tree)
         if args.cert:
             with Path(args.cert).open("w") as fp:
@@ -169,7 +159,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_shadow(args: argparse.Namespace) -> int:
-    family = _load_family(args.file)
+    family = FaceFamily(parse_facets(_read_text(args.file)))
     result = shadow(family)
     if result.uniform_size == 0 and len(result):
         raise ParseError(
@@ -183,7 +173,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
     if not _intersection(c._facet_masks):  # a cone answers at once
         _check_face_budget(c, FACE_BUDGET)
-    profile = reduced_betti(c, _field(args.field))
+    profile = reduced_betti(c, CoefficientField(args.field))
     if args.json:
         _print_json(
             {
@@ -202,7 +192,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 def cmd_reisner(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
-    report = reisner_cm_check(c, _field(args.field))
+    report = reisner_cm_check(c, CoefficientField(args.field))
     if args.json:
         _print_json(
             {

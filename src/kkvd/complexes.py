@@ -410,20 +410,24 @@ def _ridges(masks: Sequence[int]) -> tuple[bool, dict[int, int], set[int]]:
     return sum(parent[i] == i for i in range(len(masks))) == 1, owner, shared
 
 
-def _deletion_masks(masks: Sequence[int], bit: int) -> list[int]:
+def _deletion_masks(
+    masks: Sequence[int], bit: int, covered: set[int] | None = None
+) -> list[int]:
     """Facets of the deletion of a vertex.
 
     The facets avoiding the vertex stay, and F - x is a facet exactly when
     none of them holds it (F - x ⊆ F' - x would force F ⊆ F').  In a pure
-    complex F - x is one size smaller, so that means it is not in their
-    shadow.
+    complex that means F - x is not in their shadow, nor in `covered`, a
+    set measured already that holds just the F - x other facets hold.
     """
-    kept = [f for f in masks if not f & bit]
-    stripped = [f ^ bit for f in masks if f & bit]
-    if not _is_pure(masks):
-        return kept + [s for s in stripped if all(s & g != s for g in kept)]
-    covered = _shadow_masks(kept)
-    return kept + [s for s in stripped if s not in covered]
+    if covered is None:
+        kept = [f for f in masks if not f & bit]
+        if not _is_pure(masks):
+            stripped = [f ^ bit for f in masks if f & bit]
+            return kept + [s for s in stripped if all(s & g != s for g in kept)]
+        covered = _shadow_masks(kept)
+    # F ∌ x stays: F + x is a size larger than any F - x
+    return [f & ~bit for f in masks if f ^ bit not in covered]
 
 
 class SimplicialComplex:

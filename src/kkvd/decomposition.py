@@ -27,9 +27,7 @@ compacted, so a subcomplex reached twice is searched once and both parents
 hold the same subtree object.  A cone point (a vertex in every facet) has
 its link equal to its deletion, so a single n-vertex facet certifies with
 n distinct nodes, not 2^n - 1, and a complete family sheds into suffix
-families: C(m, k) needs O(m·k) distinct nodes.  Certificate format 1
-writes a shared subtree out in full under each parent, so its documents
-still have 2^n - 1 nodes for an n-vertex facet.
+families: C(m, k) needs O(m·k) distinct nodes.
 
 A failing node would try every vertex; two facts of Provan and Billera
 (1980) end its scan early.  Every vertex link of a decomposable complex is
@@ -228,9 +226,10 @@ def _shed(labels, masks, extremal, memo):
     base = _base_tree(labels, masks)
     if base is not None:
         return base, ()
-    first_failure = shared = deletion = None
+    # covered: what the witness scan measured, then the shared ridges
+    first_failure = covered = None
     if extremal:
-        hit, deletion = _witness_scan(masks)
+        hit, covered = _witness_scan(masks)
         # no witness: a complete family, where any vertex sheds
         candidates = (next(_bits(_union(masks))) if hit is None else hit[0],)
     else:
@@ -238,11 +237,7 @@ def _shed(labels, masks, extremal, memo):
     for x in candidates:
         # the link of a vertex in a pure complex is pure
         bit, v = 1 << x, labels[x]
-        if shared is not None:
-            # F ∌ x stays (F + x is no ridge); F - x stays unless another facet has it
-            deletion = [f & ~bit for f in masks if f ^ bit not in shared]
-        elif deletion is None:
-            deletion = _deletion_masks(masks, bit)
+        deletion = _deletion_masks(masks, bit, covered)
         if not _is_pure(deletion):
             failure = (ObstructionStep(v, "deletion is not pure"),)
         else:
@@ -258,7 +253,7 @@ def _shed(labels, masks, extremal, memo):
             failure = (ObstructionStep(v, "deletion is not decomposable"),) + del_path
         if first_failure is None:
             first_failure = failure
-            connected, _, shared = _ridges(masks)
+            connected, _, covered = _ridges(masks)
             if not connected:
                 # a decomposable complex is shellable, so connected by ridges
                 break
@@ -286,16 +281,17 @@ def _diagnose(c, tree, verdicts) -> str | None:
 def _diagnose_node(c, tree, verdicts) -> str | None:
     if not c.is_pure:
         return f"{c!r} is not pure"
-    if isinstance(tree, Empty):
-        return None if c.is_empty else f"claimed empty, but complex is {c!r}"
-    if isinstance(tree, EmptyFace):
-        if c.facets == (Face(),):
+    if isinstance(tree, (Point, Split)):
+        v = tree.vertex  # Point(True) would equal Point(1)
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            return f"node vertex must be a positive integer, got {v!r}"
+    if isinstance(tree, (Empty, EmptyFace, Point)):
+        if tree == _base_tree(c.vertex_set, c._facet_masks):
             return None
-        return f"claimed {{∅}}, but complex is {c!r}"
-    if isinstance(tree, Point):
-        if c.facets == (Face(tree.vertex),):
-            return None
-        return f"claimed single vertex {tree.vertex}, but complex is {c!r}"
+        if isinstance(tree, Point):
+            return f"claimed single vertex {tree.vertex}, but complex is {c!r}"
+        claim = "empty" if isinstance(tree, Empty) else "{∅}"
+        return f"claimed {claim}, but complex is {c!r}"
     if isinstance(tree, Split):
         if tree.vertex not in c.vertex_set:
             return f"split vertex {tree.vertex} is not a vertex of {c!r}"

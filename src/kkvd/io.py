@@ -13,16 +13,19 @@ tree, and the ``tree`` itself with node kinds ``empty``, ``emptyface``,
 link and deletion, or equal subcomplexes reached along different paths)
 becomes one node dict, held wherever the tree holds it; the text writes it
 out in full under each parent, so it is the plain format-1 tree, with
-2^n - 1 nodes for a single n-vertex facet.  ``kkvd vd`` refuses to write
-more than ``WRITTEN_NODE_BUDGET`` nodes, counted over the distinct ones.
+2^n - 1 nodes for a single n-vertex facet.  :func:`certificate_document`
+counts the nodes the text writes out while it builds the distinct ones and
+refuses more than ``WRITTEN_NODE_BUDGET``, before anything is written.
 
 :func:`write_json` writes the text of ``json.dumps(doc, indent=2)`` to a
-file in writes of about 64 KiB, in one loop over a stack of open
-containers, so the document's expanded text is never held in memory and
-the stdlib's slow generator-per-level indenting encoder does not run.  A
-container met again is rendered once more per nesting depth, if its text
-fits in one write, and that text is copied wherever it recurs, so a
-format-1 certificate costs its distinct nodes plus the copying of its text.
+file in writes of about 64 KiB, so the document's expanded text is never
+held in memory.  It renders a container by one plain call per nesting
+level, as deep as ``json.dumps`` recurses (a valid certificate nests at
+most 64 splits), not through the stdlib's slow generator-per-level
+indenting encoder.  A container met again is rendered once more per
+nesting depth, if its text fits in one write, and that text is copied
+wherever it recurs, so a format-1 certificate costs its distinct nodes
+plus the copying of its text.
 """
 
 from __future__ import annotations
@@ -84,47 +87,23 @@ def format_facets(faces: Iterable[Face]) -> str:
 
 def tree_to_node(tree: DecompositionTree) -> dict:
     """The format-1 node of a tree, with one dict per distinct tree node."""
-    return _node(tree, {})
+    return _node(tree, {})[0]
 
 
-def _node(tree: DecompositionTree, nodes: dict[int, dict]) -> dict:
+def _node(tree: DecompositionTree, nodes: dict[int, tuple]) -> tuple[dict, int]:
+    """The node of a tree and the number of nodes its text writes out."""
     if isinstance(tree, Empty):
-        return {"kind": "empty"}
+        return {"kind": "empty"}, 1
     if isinstance(tree, EmptyFace):
-        return {"kind": "emptyface"}
+        return {"kind": "emptyface"}, 1
     if isinstance(tree, Point):
-        return {"kind": "point", "vertex": tree.vertex}
+        return {"kind": "point", "vertex": tree.vertex}, 1
     if id(tree) not in nodes:
-        nodes[id(tree)] = {
-            "kind": "split",
-            "vertex": tree.vertex,
-            "link": _node(tree.link, nodes),
-            "deletion": _node(tree.deletion, nodes),
-        }
+        node = {"kind": "split", "vertex": tree.vertex}
+        node["link"], links = _node(tree.link, nodes)
+        node["deletion"], deletions = _node(tree.deletion, nodes)
+        nodes[id(tree)] = node, 1 + links + deletions
     return nodes[id(tree)]
-
-
-def _check_written_nodes(tree: DecompositionTree, budget: int) -> None:
-    """Refuse a tree whose format-1 text writes out more than `budget` nodes.
-
-    Counts once per distinct split, so a refusal costs the tree's distinct
-    nodes, not its text.
-    """
-    counts: dict[int, int] = {}
-
-    def written(t: DecompositionTree) -> int:
-        if not isinstance(t, Split):
-            return 1
-        if id(t) not in counts:
-            counts[id(t)] = 1 + written(t.link) + written(t.deletion)
-        return counts[id(t)]
-
-    count = written(tree)
-    if count > budget:
-        raise BudgetExceeded(
-            f"the format-1 certificate writes out {count} nodes, over the "
-            f"written-node budget of {budget}"
-        )
 
 
 def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
@@ -166,11 +145,19 @@ def _vertex_of(node: dict) -> int:
 def certificate_document(
     facets: Iterable[Face], strategy: Strategy, tree: DecompositionTree
 ) -> dict:
+    """The format-1 document; raises ``BudgetExceeded`` when its text would
+    write out more than ``WRITTEN_NODE_BUDGET`` nodes."""
+    node, count = _node(tree, {})
+    if count > WRITTEN_NODE_BUDGET:
+        raise BudgetExceeded(
+            f"the format-1 certificate writes out {count} nodes, over the "
+            f"written-node budget of {WRITTEN_NODE_BUDGET}"
+        )
     return {
         "format": CERTIFICATE_FORMAT,
         "facets": [list(f.vertices) for f in facets],
         "strategy": strategy.value,
-        "tree": tree_to_node(tree),
+        "tree": node,
     }
 
 
@@ -197,7 +184,6 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
 #: characters gathered before each write; the text of a shared container
 #: is memoized only when it fits in one write
 _WRITE_CHARS = 1 << 16
-_END = object()
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -209,76 +195,65 @@ def write_json(obj: object, fp: TextIO) -> None:
     is rendered once more per nesting depth, if its text fits in one write,
     and that text is copied wherever the container recurs at that depth.
     """
-    seen: set[int] = set()  # ids of the containers opened so far
-    memo: dict[tuple[int, int], str] = {}  # (id, depth) -> text
-    pieces: list[str] = []
-    size = flushes = 0  # characters in pieces; writes so far
-    # per open container: items, keyed, separator, closer, and for one met
-    # again (memo slot, flushes, piece index, size) at its opening
-    stack: list[tuple] = []
-    keys: dict[str, str] = {}  # key -> its quoted text and ": "
-    value = obj
-    while True:
+    writer = _Writer(fp)
+    writer.emit("", obj, 0)
+    fp.write("".join(writer.pieces))
+
+
+class _Writer:
+    """The pieces of text not yet written, and what is known of containers."""
+
+    def __init__(self, fp: TextIO):
+        self.fp = fp
+        self.pieces: list[str] = []
+        self.size = self.flushes = 0  # characters in pieces; writes so far
+        self.seen: set[int] = set()  # ids of the containers opened so far
+        self.memo: dict[tuple[int, int], str] = {}  # (id, depth) -> text
+        self.keys: dict[str, str] = {}  # key -> its quoted text and ": "
+
+    def put(self, text: str) -> None:
+        self.pieces.append(text)
+        self.size += len(text)
+
+    def emit(self, prefix: str, value: object, depth: int) -> None:
+        """Render `prefix`, then `value` nested `depth` containers deep."""
         if isinstance(value, dict) and value:
-            items, keyed, opener = iter(value.items()), True, "{"
+            items, keyed, closer = value.items(), True, "}"
         elif isinstance(value, (list, tuple)) and value:
-            items, keyed, opener = iter(value), False, "["
+            items, keyed, closer = value, False, "]"
         else:
-            items, text = None, _leaf_text(value)
+            return self.put(prefix + _leaf_text(value))
+        self.put(prefix)
         start = None
-        if items is not None:
-            if id(value) not in seen:
-                seen.add(id(value))
-            else:  # held in several places: render it once per depth
-                slot = id(value), len(stack)
-                text = memo.get(slot)
+        if id(value) not in self.seen:
+            self.seen.add(id(value))
+        else:  # held in several places: render it once per depth
+            slot = id(value), depth
+            text = self.memo.get(slot)
+            if text is not None:
+                return self.put(text)
+            start = self.flushes, len(self.pieces), self.size
+        inner = "\n" + "  " * (depth + 1)
+        separator, comma = ("{" if keyed else "[") + inner, "," + inner
+        for item in items:
+            if keyed:
+                key, item = item
+                text = self.keys.get(key)
                 if text is None:
-                    start = slot, flushes, len(pieces), size
-                else:
-                    items = None
-        if items is not None:
-            indent = "\n" + "  " * len(stack)
-            inner = indent + "  "
-            closer = indent + ("}" if keyed else "]")
-            stack.append((items, keyed, "," + inner, closer, start))
-            pieces.append(opener + inner)
-            size += len(inner) + 1
-            item = next(items)
-        else:
-            pieces.append(text)
-            size += len(text)
-            # close every container this value finishes
-            while stack:
-                items, keyed, separator, closer, start = stack[-1]
-                item = next(items, _END)
-                if item is not _END:
-                    pieces.append(separator)
-                    size += len(separator)
-                    break
-                stack.pop()
-                pieces.append(closer)
-                size += len(closer)
-                if start and start[1] == flushes and size - start[3] <= _WRITE_CHARS:
-                    slot, _, at, _ = start
-                    memo[slot] = text = "".join(pieces[at:])
-                    pieces[at:] = [text]
-            else:
-                break
-        if keyed:
-            key, value = item
-            text = keys.get(key)
-            if text is None:
-                text = keys[key] = _quote(key) + ": "
-            pieces.append(text)
-            size += len(text)
-        else:
-            value = item
-        if size >= _WRITE_CHARS:
-            fp.write("".join(pieces))
-            pieces.clear()
-            size = 0
-            flushes += 1
-    fp.write("".join(pieces))
+                    text = self.keys[key] = _quote(key) + ": "
+                separator += text
+            self.emit(separator, item, depth + 1)
+            separator = comma
+            if self.size >= _WRITE_CHARS:
+                self.fp.write("".join(self.pieces))
+                self.pieces.clear()
+                self.size = 0
+                self.flushes += 1
+        self.put(inner[:-2] + closer)
+        if start and start[0] == self.flushes and self.size - start[2] <= _WRITE_CHARS:
+            at = start[1]
+            self.memo[slot] = text = "".join(self.pieces[at:])
+            self.pieces[at:] = [text]
 
 
 def _leaf_text(value: object) -> str:

@@ -234,9 +234,11 @@ class CompleteOnSupport:
 WitnessResult = Union[Witness, CompleteOnSupport]
 
 
-def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, list[int] | None]:
+def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, set[int] | None]:
     """((bit, |shadow(B)|, |C|) for the lowest qualifying vertex bit, else
-    None; the facets of the deletion of that vertex, or of the lowest one).
+    None; the set measured there, which holds every F - v that another
+    facet holds, for that vertex or, with no witness, the lowest one: the
+    ``covered`` of :func:`_deletion_masks`).
 
     A complete family (all k-subsets of its support) has |shadow(B)| <= |C|
     at every vertex, so it returns at once.  Low vertices are tried by the
@@ -248,7 +250,7 @@ def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, list[int] | None]
     if len(masks) == math.comb(support.bit_count(), masks[0].bit_count()):
         # F - v lies in another facet unless F is the only one
         low = support & -support
-        return None, [m & ~low for m in masks if len(masks) == 1 or not m & low]
+        return None, {m ^ low for m in masks if m & low} if len(masks) > 1 else set()
     rest, tried = support, 0
     while rest and tried < len(masks):
         bit = rest & -rest
@@ -257,9 +259,7 @@ def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, list[int] | None]
         covered = _shadow_masks(b_masks)
         c_count = len(masks) - len(b_masks)
         if len(covered) > c_count:
-            hit = bit.bit_length() - 1, len(covered), c_count
-            stripped = [m ^ bit for m in masks if m & bit]
-            return hit, b_masks + [m for m in stripped if m not in covered]
+            return (bit.bit_length() - 1, len(covered), c_count), covered
         tried += len(b_masks)
     _, ridges, shared = _ridges(masks)
     while rest:
@@ -270,8 +270,7 @@ def _witness_scan(masks) -> tuple[tuple[int, int, int] | None, list[int] | None]
         # each ridge through the vertex adds bit to the sum
         shadow_b = len(ridges) - sum(map(bit.__and__, ridges)) // bit - lone
         if shadow_b > len(stripped):
-            hit = bit.bit_length() - 1, shadow_b, len(stripped)
-            return hit, [m & ~bit for m in masks if m ^ bit not in shared]
+            return (bit.bit_length() - 1, shadow_b, len(stripped)), shared
     return None, None
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkvd import Face, FaceFamily, SimplicialComplex, make_complex
-from kkvd.complexes import _LISTED_COST, _faces_of_size, _shed_counts
+from kkvd.complexes import _LISTED_COST, _deletion_masks, _faces_of_size, _ridges
+from kkvd.complexes import _shed_counts
 from kkvd.errors import (
     BudgetExceeded,
     EmptyComplex,
@@ -18,6 +19,7 @@ from kkvd.errors import (
     TooManyVertices,
     VertexNotInComplex,
 )
+from kkvd.kruskal_katona import _witness_scan
 
 from corpus import extremal_families_on_six, segment_complexes, skeleton_complexes
 from oracles import brute_faces
@@ -324,6 +326,34 @@ def test_delete_last_vertex_leaves_empty_face_complex():
 def test_delete_requires_vertex():
     with pytest.raises(VertexNotInComplex):
         make_complex([(1, 2)]).delete_vertex(9)
+
+
+def test_deletion_rule_takes_a_measured_cover():
+    # the ridges two facets share, and at the witness (or, in a complete
+    # family, the lowest vertex) the set the witness scan measured, decide
+    # which F - x survive as the shadow of the facets avoiding x does
+    rng = random.Random(16)
+    for i in range(1000):
+        k = rng.randint(1, 4)
+        labels = rng.sample(range(1, 65), rng.randint(k, 8))
+        subsets = list(itertools.combinations(labels, k))
+        if i % 10 == 0:
+            facets = subsets
+        elif i % 10 == 1:
+            facets = [labels]
+        else:
+            facets = rng.sample(subsets, rng.randint(1, len(subsets)))
+        c = make_complex(facets)
+        masks, labels = c._facet_masks, c.vertex_set
+        _, _, shared = _ridges(masks)
+        hit, covered = _witness_scan(masks)
+        witness = 0 if hit is None else hit[0]
+        for b, v in enumerate(labels):
+            want = {f.vertices for f in c.delete_vertex(v).facets}
+            for cover in [None, shared] + [covered] * (b == witness):
+                got = _deletion_masks(masks, 1 << b, cover)
+                faces = {tuple(u for x, u in enumerate(labels) if m >> x & 1) for m in got}
+                assert len(got) == len(faces) and faces == want, (facets, v, cover)
 
 
 # ---------------------------------------------------------------- properties

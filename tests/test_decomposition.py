@@ -517,6 +517,23 @@ def test_reused_node_is_judged_per_complex():
     )
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0, "1"])
+def test_diagnosis_names_a_vertex_that_is_no_label(bad):
+    # checked before the leaf claim, as Point(True) == Point(1)
+    reason = f"node vertex must be a positive integer, got {bad!r}"
+    assert diagnose_certificate(make_complex([(1,)]), Point(bad)) == reason
+    path = make_complex([(1, 2), (2, 3)])
+    assert validate_certificate(path, Split(1, Point(2), Split(2, Point(3), Point(3))))
+    for tree, where in [
+        (Split(bad, Point(2), Point(3)), ""),
+        (Split(1, Point(bad), Split(2, Point(3), Point(3))), "link of 1: "),
+        (Split(1, Point(2), Split(bad, Point(3), Point(3))), "deletion of 1: "),
+        (Split(1, Point(2), Split(2, Point(bad), Point(3))), "deletion of 1: link of 2: "),
+    ]:
+        assert diagnose_certificate(path, tree) == where + reason
+        assert not validate_certificate(path, tree)
+
+
 def test_validate_checks_vertex_membership():
     c = make_complex([(1, 2)])
     assert not validate_certificate(c, Split(9, Point(2), Point(2)))

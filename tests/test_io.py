@@ -23,7 +23,6 @@ from kkvd import (
 from kkvd.cli import main
 from kkvd.errors import BudgetExceeded, ParseError
 from kkvd.io import (
-    _check_written_nodes,
     certificate_document,
     format_facets,
     node_to_tree,
@@ -162,12 +161,15 @@ def test_shared_subtrees_serialize_in_full(tmp_path, capsys):
     assert shared >= 40
 
 
-def test_written_node_count_is_checked_against_the_budget():
+def test_written_node_count_is_checked_against_the_budget(monkeypatch):
     # a single 5-vertex facet writes out 2^5 - 1 nodes from 5 distinct ones
-    tree = certify_vd(make_complex([range(1, 6)])).tree
-    _check_written_nodes(tree, 31)
+    c = make_complex([range(1, 6)])
+    report = certify_vd(c)
+    monkeypatch.setattr(kkvd.io, "WRITTEN_NODE_BUDGET", 31)
+    certificate_document(c.facets, report.strategy_used, report.tree)
+    monkeypatch.setattr(kkvd.io, "WRITTEN_NODE_BUDGET", 30)
     with pytest.raises(BudgetExceeded, match="writes out 31 nodes.* budget of 30"):
-        _check_written_nodes(tree, 30)
+        certificate_document(c.facets, report.strategy_used, report.tree)
 
 
 class RecordingFile(io.StringIO):
@@ -331,6 +333,16 @@ def test_chain_of_max_vertices_splits_parses():
         assert isinstance(tree, Split) and tree.vertex == v
         tree = tree.link
     assert tree == Point(vertex=65)
+
+
+def test_writer_matches_json_dumps_at_the_deepest_nesting():
+    # the writer recurses once per container, so this is its deepest
+    # certificate document: 64 splits below the document and its tree
+    tree = node_to_tree(split_chain(64))
+    doc = certificate_document([Face(*range(1, 66))], Strategy.EXHAUSTIVE, tree)
+    out = io.StringIO()
+    write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("depth", [65, 3000])

@@ -25,6 +25,7 @@ from kkvd import (
     squashed_cmp,
 )
 from kkvd import kruskal_katona
+from kkvd.complexes import _deletion_masks
 from kkvd.errors import (
     EmptyComplex,
     InvalidInput,
@@ -386,7 +387,9 @@ def test_witness_scan_matches_each_vertex_shadow(monkeypatch):
         assert result == brute_witness(family), list(family)
         if isinstance(result, Witness):
             c = make_complex(family)
-            _, deletion = kruskal_katona._witness_scan(c._facet_masks)
+            masks = c._facet_masks
+            hit, covered = kruskal_katona._witness_scan(masks)
+            deletion = _deletion_masks(masks, 1 << hit[0], covered)
             labels = c.vertex_set
             got = {tuple(v for b, v in enumerate(labels) if m >> b & 1) for m in deletion}
             want = {f.vertices for f in c.delete_vertex(result.vertex).facets}

@@ -45,3 +45,16 @@ def test_each_private_helper_is_used():
         if not any(name in named for other, named in names if other is not stmt)
     )
     assert defs and unused == [], unused
+
+
+def test_cli_imports_no_private_name_from_io():
+    # the CLI goes through kkvd.io's public functions, which keep its checks
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("io", "kkvd.io")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
