@@ -416,16 +416,15 @@ def _deletion_masks(
     """Facets of the deletion of a vertex.
 
     The facets avoiding the vertex stay, and F - x is a facet exactly when
-    none of them holds it (F - x ⊆ F' - x would force F ⊆ F').  In a pure
-    complex that means F - x is not in their shadow, nor in `covered`, a
-    set measured already that holds just the F - x other facets hold.
+    none of them holds it (F - x ⊆ F' - x would force F ⊆ F'): in a pure
+    complex, when F - x is not in their shadow, nor in `covered`, a set
+    measured already that holds just the F - x other facets hold.  A
+    non-pure complex goes through `_maximal`.
     """
     if covered is None:
-        kept = [f for f in masks if not f & bit]
         if not _is_pure(masks):
-            stripped = [f ^ bit for f in masks if f & bit]
-            return kept + [s for s in stripped if all(s & g != s for g in kept)]
-        covered = _shadow_masks(kept)
+            return _maximal(f & ~bit for f in masks)
+        covered = _shadow_masks([f for f in masks if not f & bit])
     # F ∌ x stays: F + x is a size larger than any F - x
     return [f & ~bit for f in masks if f ^ bit not in covered]
 

@@ -1,4 +1,4 @@
-"""Vertex-decomposition certificates, their validation, and brute shellings.
+"""Vertex-decomposition certificates, their validation, and shellings.
 
 A pure complex is vertex decomposable when it is empty, a single vertex,
 or some vertex has a pure decomposable link and a pure decomposable
@@ -53,8 +53,8 @@ import functools
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex, _bits, _union
-from .complexes import _deletion_masks, _is_pure, _link_masks, _maximal, _ridges
+from .complexes import Face, SimplicialComplex, _bits, _face_of, _union
+from .complexes import _deletion_masks, _is_pure, _link_masks, _ridges
 from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _witness_scan, is_extremal
 
@@ -313,39 +313,38 @@ def validate_certificate(c: SimplicialComplex, tree: DecompositionTree) -> bool:
 def find_shelling(
     c: SimplicialComplex, facet_limit: int = 8
 ) -> tuple[Face, ...] | None:
-    """Backtracking search for a shelling order of a pure complex.
+    """Search for a shelling order of a pure complex.
 
-    Each facet after the first must meet the union of its predecessors in
-    a pure complex of one dimension lower.  Returns None when no order
-    works.  Intended as a desk-scale cross-check, hence the facet limit.
+    Each facet F after the first must meet its predecessors in ridges F - v
+    (Björner and Wachs 1996): every placed F_i misses some v with
+    F - F_l = {v}, F_l placed.  That rule, and whether an order can be
+    finished, depend only on the placed set, so a depth-first search in
+    ascending order, on its own stack, records each dead placed set once
+    and visits at most 2^m sets.  Returns the lexicographically first valid
+    order of ``c.facets``, or None.  The facet limit keeps it desk-scale.
     """
     if not c.is_pure:
         raise NotPure(f"{c!r} is not pure")
-    facets = c.facets
-    m = len(facets)
+    masks = c._facet_masks
+    m = len(masks)
     if m > facet_limit:
         raise LimitExceeded(f"{m} facets exceed the limit of {facet_limit}")
-    if m <= 1:
-        return facets
-    d = len(facets[0]) - 1
-    masks = c._facet_masks
-
-    def admissible(j: int, placed: list[int]) -> bool:
-        inters = _maximal(masks[j] & masks[l] for l in placed)
-        return all(s.bit_count() == d for s in inters)
-
     order: list[int] = []
-
-    def backtrack() -> bool:
-        if len(order) == m:
-            return True
-        for j in range(m):
-            if j in order or order and not admissible(j, order):
-                continue
-            order.append(j)
-            if backtrack():
-                return True
-            order.pop()
-        return False
-
-    return tuple(facets[j] for j in order) if backtrack() else None
+    placed = j = 0
+    dead: set[int] = set()
+    while len(order) < m:
+        if j == m:  # no facet extends this placed set: undo the last one
+            if not order:
+                return None
+            dead.add(placed)
+            j = order.pop()
+            placed ^= 1 << j
+        elif not placed >> j & 1 and placed | 1 << j not in dead:
+            diffs = [masks[j] & ~masks[i] for i in order]
+            ridge = _union(d for d in diffs if d.bit_count() == 1)
+            if all(ridge & d for d in diffs):
+                order.append(j)
+                placed |= 1 << j
+                j = -1  # seek the next facet from index 0
+        j += 1
+    return tuple(_face_of(masks[j], c._labels) for j in order)

@@ -174,6 +174,8 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
         facets = [Face(*f) for f in raw_facets]
     except (TypeError, InvalidLabel) as exc:
         raise ParseError(f"bad facet in certificate: {exc}")
+    if not all(isinstance(f, list) for f in raw_facets):
+        raise ParseError("certificate facets must be a list of vertex lists")
     try:
         strategy = Strategy(doc.get("strategy"))
     except ValueError:

@@ -9,6 +9,7 @@ six-vertex enumeration); the sweep is computed once and cached.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -46,6 +47,7 @@ GF2 = CoefficientField.GF2
 Q = CoefficientField.RATIONALS
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextmanager
@@ -230,11 +232,14 @@ def test_09_homology_sanity():
 
 
 def _cli(*argv, stdin=None):
+    # the child imports kkvd from this checkout's src, installed or not
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "kkvd", *argv],
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     return proc.returncode, proc.stdout
 

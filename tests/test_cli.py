@@ -16,15 +16,21 @@ from oracles import torus_facets
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, stdin: str | None = None, optimize: bool = False):
-    """Run the CLI in a child process; returns (exit code, stdout, stderr)."""
+    """Run the CLI in a child process; returns (exit code, stdout, stderr).
+
+    The child imports kkvd from this checkout's ``src``, installed or not.
+    """
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, *["-O"] * optimize, "-m", "kkvd", *argv],
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -338,6 +344,15 @@ def test_disjoint_cliques_end_quickly(first, second, refusal_names, tmp_path, ca
     assert_each_ends_quickly(f, ADVERSARIAL_ARGV, capsys, refusal_names)
 
 
+def test_torus_shelling_search_ends_quickly(tmp_path, capsys):
+    # the 18 triangles of the 3×3 torus have no shelling; the search visits
+    # each dead set of placed triangles once, not each order of them
+    f = tmp_path / "torus.txt"
+    f.write_text("".join(f"{a} {b} {c}\n" for a, b, c in torus_facets(3, 3)))
+    argv = ["shell", "--facet-limit", "18"]
+    assert assert_each_ends_quickly(f, [argv], capsys, []) == {tuple(argv): 1}
+
+
 def test_refusals_survive_python_optimize(tmp_path):
     # python -O strips assert statements; budgets and guards must not be ones
     f = tmp_path / "torus.txt"
@@ -380,6 +395,15 @@ def test_pipe_gen_into_every_consumer():
     ):
         code, _, err = run_cli(*argv, stdin=gen_out)
         assert code in (0, 1), (argv, err)
+
+
+def test_shell_of_a_long_segment_prints_it_in_gen_order(tmp_path):
+    # 1,200 facets deep: the search keeps its own stack, not Python's
+    f = tmp_path / "segment.txt"
+    code, gen_out, _ = run_cli("gen", "3", "1200")
+    assert code == 0
+    f.write_text(gen_out)
+    assert run_cli("shell", str(f), "--facet-limit", "5000") == (0, gen_out, "")
 
 
 def test_pipe_shadow_output_reparses():

@@ -22,7 +22,7 @@ from kkvd.errors import (
 from kkvd.kruskal_katona import _witness_scan
 
 from corpus import extremal_families_on_six, segment_complexes, skeleton_complexes
-from oracles import brute_faces
+from oracles import _maximal_sets, brute_faces
 
 
 def faces_as_sets(family):
@@ -331,9 +331,11 @@ def test_delete_requires_vertex():
 def test_deletion_rule_takes_a_measured_cover():
     # the ridges two facets share, and at the witness (or, in a complete
     # family, the lowest vertex) the set the witness scan measured, decide
-    # which F - x survive as the shadow of the facets avoiding x does
+    # which F - x survive as the shadow of the facets avoiding x does; a
+    # non-pure complex, which has no cover, keeps the maximal F - x
     rng = random.Random(16)
-    for i in range(1000):
+    non_pure = 0
+    for i in range(1500):
         k = rng.randint(1, 4)
         labels = rng.sample(range(1, 65), rng.randint(k, 8))
         subsets = list(itertools.combinations(labels, k))
@@ -343,17 +345,24 @@ def test_deletion_rule_takes_a_measured_cover():
             facets = [labels]
         else:
             facets = rng.sample(subsets, rng.randint(1, len(subsets)))
+        if i >= 1000:
+            extra = rng.randint(1, 3)
+            facets += [rng.sample(labels, rng.randint(0, len(labels))) for _ in range(extra)]
         c = make_complex(facets)
         masks, labels = c._facet_masks, c.vertex_set
-        _, _, shared = _ridges(masks)
-        hit, covered = _witness_scan(masks)
-        witness = 0 if hit is None else hit[0]
+        covers, witness, covered = [None], None, None
+        if c.is_pure:
+            _, _, shared = _ridges(masks)
+            hit, covered = _witness_scan(masks)
+            covers, witness = [None, shared], 0 if hit is None else hit[0]
+        non_pure += not c.is_pure
         for b, v in enumerate(labels):
-            want = {f.vertices for f in c.delete_vertex(v).facets}
-            for cover in [None, shared] + [covered] * (b == witness):
+            want = _maximal_sets(frozenset(f) - {v} for f in facets)
+            for cover in covers + [covered] * (b == witness):
                 got = _deletion_masks(masks, 1 << b, cover)
-                faces = {tuple(u for x, u in enumerate(labels) if m >> x & 1) for m in got}
+                faces = {frozenset(u for x, u in enumerate(labels) if m >> x & 1) for m in got}
                 assert len(got) == len(faces) and faces == want, (facets, v, cover)
+    assert non_pure > 100
 
 
 # ---------------------------------------------------------------- properties

@@ -595,6 +595,29 @@ def test_shelling_requires_pure_input():
         find_shelling(make_complex([(1, 2, 3), (4, 5)]))
 
 
+def test_shelling_is_the_first_order_the_oracle_accepts():
+    # by index into c.facets, the search answers the lexicographically first
+    # valid permutation, and None exactly when the oracle accepts none
+    rng = random.Random(17)
+    complexes = [make_complex([]), make_complex([()])]
+    for _ in range(800):
+        k = rng.randint(1, 3)
+        labels = rng.sample(range(1, 65), rng.randint(k + 1, 7))
+        subsets = list(itertools.combinations(labels, k))
+        n = min(len(subsets), rng.randint(2, 6))
+        complexes.append(make_complex(rng.sample(subsets, n)))
+    verdicts = set()
+    for c in complexes:
+        facets = c.facets
+        orders = (
+            tuple(facets[j] for j in p) for p in itertools.permutations(range(len(facets)))
+        )
+        want = next((o for o in orders if is_valid_shelling([f.vertices for f in o])), None)
+        assert find_shelling(c) == want, c
+        verdicts.add((len(facets), want is None))
+    assert {(6, True), (6, False)} <= verdicts
+
+
 def test_found_shellings_replay_against_oracle():
     for d in range(1, 3):
         for n in range(1, 9):

@@ -311,6 +311,8 @@ def test_writer_renders_a_shared_subtree_once_per_depth(monkeypatch):
             "strategy": "auto",
             "tree": {"kind": "point", "vertex": True},
         },
+        {"format": 1, "facets": [""], "strategy": "auto", "tree": {"kind": "empty"}},
+        {"format": 1, "facets": [{}], "strategy": "auto", "tree": {"kind": "empty"}},
     ],
 )
 def test_certificate_rejects_malformed_documents(doc):
