@@ -103,7 +103,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_vd(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
-    report = certify_vd(c, Strategy(args.strategy))
+    report = certify_vd(c, args.strategy)
     if report.decomposable:
         if args.cert or args.json:
             doc = certificate_document(c.facets, report.strategy_used, report.tree)
@@ -173,7 +173,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
     if not _intersection(c._facet_masks):  # a cone answers at once
         _check_face_budget(c, FACE_BUDGET)
-    profile = reduced_betti(c, CoefficientField(args.field))
+    profile = reduced_betti(c, args.field)
     if args.json:
         _print_json(
             {
@@ -192,7 +192,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 def cmd_reisner(args: argparse.Namespace) -> int:
     c = _load_complex(args.file)
-    report = reisner_cm_check(c, CoefficientField(args.field))
+    report = reisner_cm_check(c, args.field)
     if args.json:
         _print_json(
             {

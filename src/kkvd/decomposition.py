@@ -55,7 +55,7 @@ from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _face_of, _union
 from .complexes import _deletion_masks, _is_pure, _link_masks, _ridges
-from .errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
+from .errors import BudgetExceeded, InvalidInput, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _witness_scan, is_extremal
 
 # distinct subcomplexes one certify_vd call may search
@@ -66,6 +66,10 @@ class Strategy(enum.Enum):
     AUTO = "auto"
     EXTREMAL = "extremal"
     EXHAUSTIVE = "exhaustive"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidInput(f"unknown strategy {value!r}")
 
 
 @dataclass(frozen=True)

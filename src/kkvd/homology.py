@@ -21,11 +21,11 @@ its dimension.  Only GF(2) and the rationals are supported; torsion at odd
 primes is invisible here, which reports must spell out.
 
 A cone (some vertex lies in every facet) is contractible, so its reduced
-homology vanishes and no boundary matrix is built for it; every link of a
-face in a simplex is one.  The Reisner check skips links that are cones
-and ranks each link shape once per call.  Its face budget counts distinct
-face masks and stops as soon as the count passes the budget, so a refusal
-costs at most the budget's worth of work.
+homology vanishes and no boundary matrix is built for it.  The Reisner
+check visits only faces of dimension at most d - 2, as larger faces have
+links of dimension at most 0, which cannot fail; it skips links that are
+cones and ranks each link shape once per call.  Its face budget counts
+faces only until the count passes it, which bounds a refusal's cost.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ FACE_BUDGET = 5000
 class CoefficientField(enum.Enum):
     GF2 = "gf2"
     RATIONALS = "q"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidInput(f"unknown coefficient field {value!r}")
 
 
 def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
@@ -158,13 +162,10 @@ class BettiProfile:
 
 
 def reduced_betti(
-    c: SimplicialComplex, field: CoefficientField = CoefficientField.RATIONALS
+    c: SimplicialComplex, field: CoefficientField | str = CoefficientField.RATIONALS
 ) -> BettiProfile:
-    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}.
-
-    rank d_0 = 1 and rank d_1 = f_0 - (connected components) in every
-    field, so only d_2..d_d are built and ranked.
-    """
+    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}."""
+    field = CoefficientField(field)
     d = c.dimension
     if d is None:
         raise EmptyComplex("homology undefined for the empty complex")
@@ -211,26 +212,29 @@ def _check_face_budget(c: SimplicialComplex, face_budget: int) -> None:
 
 def reisner_cm_check(
     c: SimplicialComplex,
-    field: CoefficientField = CoefficientField.RATIONALS,
+    field: CoefficientField | str = CoefficientField.RATIONALS,
     face_budget: int = FACE_BUDGET,
 ) -> CMReport:
     """Reisner's criterion: every link's reduced homology vanishes below its dimension.
 
     Records every (face, degree, rank) violation over all faces, ∅ included,
-    in squashed order per dimension.  A face missing a cone point has a
-    cone for its link, so only the faces C ∪ τ are visited, C the cone
-    points and τ a face of the base; (A ∪ C) △ (B ∪ C) = A △ B keeps them
-    in squashed order.  Links that are cones are skipped, and each link
-    shape is ranked once per call.
+    in squashed order per dimension.  Only faces C ∪ τ of dimension at most
+    d - 2 are visited, C the cone points and τ a face of the base: a face
+    missing a cone point has a cone for its link, and a (d-1)- or d-face,
+    pure or not, has {∅} or points, with no degree below -1 and b_{-1} = 0.
+    (A ∪ C) △ (B ∪ C) = A △ B keeps them in squashed order.  Links that
+    are cones are skipped, and each link shape is ranked once per call.
     """
+    field = CoefficientField(field)
     if c.dimension is None:
         raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
     _check_face_budget(c, face_budget)
     cone = _intersection(c._facet_masks)
     base = SimplicialComplex._from_masks(c._labels, [f & ~cone for f in c._facet_masks])
+    faces = map(base.faces_of_dim, range(-1, c.dimension - 1 - cone.bit_count()))
     betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
-    for m in _masks_of(base.all_faces(), c._labels):
+    for m in _masks_of(itertools.chain(*faces), c._labels):
         m |= cone
         link = _link_masks(c._facet_masks, m)
         if link == [0] or _intersection(link):  # a facet's link {∅}, or a cone

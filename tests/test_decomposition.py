@@ -23,7 +23,8 @@ from kkvd import (
     validate_certificate,
 )
 from kkvd import decomposition
-from kkvd.errors import BudgetExceeded, LimitExceeded, NotExtremal, NotPure
+from kkvd.errors import BudgetExceeded, InvalidInput, LimitExceeded, NotExtremal
+from kkvd.errors import NotPure
 
 from oracles import (
     brute_vertex_decomposable,
@@ -625,3 +626,14 @@ def test_found_shellings_replay_against_oracle():
             order = find_shelling(c)
             assert order is not None, (d, n)
             assert is_valid_shelling([set(f.vertices) for f in order])
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_strategies_given_as_strings(strategy):
+    c = make_complex(segment(3, 7))
+    assert certify_vd(c, strategy.value) == certify_vd(c, strategy)
+
+
+def test_unknown_strategy_is_invalid_input():
+    with pytest.raises(InvalidInput, match="unknown strategy 'bogus'"):
+        certify_vd(make_complex(segment(3, 7)), "bogus")

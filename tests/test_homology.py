@@ -7,6 +7,7 @@ import pytest
 
 import kkvd.homology
 from kkvd import (
+    CMReport,
     CoefficientField,
     Face,
     SimplicialComplex,
@@ -466,3 +467,64 @@ def test_face_budget_stops_counting_on_a_large_facet(field):
 def test_reisner_requires_faces():
     with pytest.raises(EmptyComplex):
         reisner_cm_check(make_complex([]), Q)
+
+
+# ------------------------------------------------- fields and visited faces
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_fields_given_as_strings(projective_plane, field):
+    profile = reduced_betti(projective_plane, field.value)
+    assert profile == reduced_betti(projective_plane, field)
+    assert profile.field is field
+    report = reisner_cm_check(projective_plane, field.value)
+    assert report == reisner_cm_check(projective_plane, field)
+    assert report.field is field
+    assert report.is_cm is (field is Q)
+
+
+@pytest.mark.parametrize("check", [reduced_betti, reisner_cm_check])
+def test_unknown_field_is_invalid_input(projective_plane, check):
+    with pytest.raises(InvalidInput, match="unknown coefficient field 'z'"):
+        check(projective_plane, "z")
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+@pytest.mark.parametrize(
+    "facets, want",
+    [
+        ([(1, 2, 3, 4), (1, 2, 5, 6)], [Violation(Face(1, 2), 0, 1)]),
+        ([(1, 2, 3), (3, 4)], [Violation(Face(3), 0, 1)]),
+        (
+            [(1, 2, 3, 4), (1, 2, 5, 6), (7,)],
+            [Violation(Face(), 0, 1), Violation(Face(1, 2), 0, 1)],
+        ),
+    ],
+    ids=["two-tetrahedra", "non-pure", "with-a-point"],
+)
+def test_violations_at_codimension_two(facets, want, field):
+    # a (d-2)-face with a disconnected link: the highest faces that can fail
+    report = reisner_cm_check(make_complex(facets), field)
+    assert report == CMReport(False, field, tuple(want))
+
+
+@pytest.mark.parametrize(
+    "c, top",
+    [
+        (make_complex(itertools.combinations(range(1, 9), 4)), 1),
+        (with_apex(make_complex(RP2_FACETS)), 0),
+        (make_complex([(1, 2, 3, 4)]), None),
+        (make_complex([(1,)]), None),
+        (make_complex([()]), None),
+    ],
+    ids=["C(8,4)", "cone-over-rp2", "facet", "point", "empty-face"],
+)
+def test_reisner_visits_only_faces_up_to_codimension_two(monkeypatch, c, top):
+    # links of (d-1)- and d-faces cannot fail, so those faces are never listed
+    seen = []
+    real = SimplicialComplex.faces_of_dim
+    monkeypatch.setattr(
+        SimplicialComplex, "faces_of_dim", lambda c, i: seen.append(i) or real(c, i)
+    )
+    reisner_cm_check(c, Q)
+    assert max(seen, default=None) == top

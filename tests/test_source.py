@@ -58,3 +58,14 @@ def test_cli_imports_no_private_name_from_io():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_reisner_never_lists_every_face():
+    # the Reisner check visits faces up to codimension 2, not all_faces()
+    path = next(p for p in SOURCES if p.name == "homology.py")
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "all_faces"
+    ]
+    assert calls == []
