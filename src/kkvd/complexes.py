@@ -4,8 +4,8 @@ Vertices are arbitrary positive integer labels.  Internally a set of
 vertices is a *mask*: an int whose bit i stands for the i-th smallest of
 the labels in play.  A complex keeps its sorted labels and its facets as
 masks, always compacted (every bit 0..v-1 is some facet's vertex) and
-inclusion-maximal, sorted by size, then value.  Subset tests, links and
-deletions are then word operations.
+inclusion-maximal, sorted by size, then value, made from facet labels with
+no Face per facet.  Subset tests, links and deletions are word operations.
 
 The helpers below are the one copy of each mask operation: set bits, purity,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
@@ -23,6 +23,7 @@ output is in terms of the original labels.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -252,7 +253,8 @@ def _compact(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         low = (1 << start) - 1
         gaps &= low
         masks = [(m & low) | ((m >> (top - start)) & ~low) for m in masks]
-    return tuple(_bits(union)), tuple(sorted(sorted(masks), key=int.bit_count))
+    masks.sort()
+    return tuple(_bits(union)), tuple(sorted(masks, key=int.bit_count))
 
 
 def _masks_of(faces: Iterable[Iterable[int]], labels: Sequence[int]) -> list[int]:
@@ -440,24 +442,26 @@ class SimplicialComplex:
     __slots__ = ("_labels", "_facet_masks")
 
     def __init__(self, faces: Iterable[FaceLike] = ()):
-        candidates = {as_face(f) for f in faces}
-        labels = sorted({v for f in candidates for v in f.vertices})
+        facets = [  # a Face's labels come as a checked tuple, others as a list
+            f if type(f) is tuple or all(type(v) is int and v > 0 for v in f)
+            else Face(*f)._vertices  # raises InvalidLabel for a bad label
+            for f in (f._vertices if isinstance(f, Face) else [*f] for f in faces)
+        ]
+        labels = sorted({v for f in facets for v in f})
         if len(labels) > MAX_VERTICES:
             raise TooManyVertices(
                 f"{len(labels)} distinct vertices exceed the {MAX_VERTICES}-bit mask"
             )
-        self._build(labels, _maximal(_masks_of(candidates, labels)))
-
-    def _build(self, labels: Sequence[int], masks: Iterable[int]) -> None:
-        """Take maximal facet masks over the given labels, compacting them."""
-        kept, self._facet_masks = _compact(masks)
-        self._labels: tuple[int, ...] = tuple(labels[b] for b in kept)
+        bit = {v: 1 << i for i, v in enumerate(labels)}.__getitem__
+        self._labels: tuple[int, ...] = tuple(labels)  # all in use: none renumbered
+        self._facet_masks = _compact(_maximal(_union(map(bit, f)) for f in facets))[1]
 
     @classmethod
     def _from_masks(cls, labels, masks) -> "SimplicialComplex":
         """A subcomplex from maximal facet masks in a parent's bit space."""
         obj = object.__new__(cls)
-        obj._build(labels, masks)
+        kept, obj._facet_masks = _compact(masks)
+        obj._labels = tuple(map(labels.__getitem__, kept))
         return obj
 
     # -- basic queries ---------------------------------------------------
@@ -495,10 +499,12 @@ class SimplicialComplex:
 
     def _face_mask(self, face: Face) -> int | None:
         """The face as a mask, or None when it is not a face of the complex."""
-        try:
-            (m,) = _masks_of([face], self._labels)
-        except KeyError:
-            return None
+        labels, m = self._labels, 0
+        for v in face._vertices:
+            i = bisect.bisect_left(labels, v)
+            if i == len(labels) or labels[i] != v:
+                return None
+            m |= 1 << i
         return m if any(m & f == m for f in self._facet_masks) else None
 
     def __contains__(self, face: object) -> bool:
@@ -563,11 +569,13 @@ class SimplicialComplex:
 
     def delete_vertex(self, label: int) -> "SimplicialComplex":
         """All faces avoiding the vertex; may come out non-pure."""
-        if label not in self._labels:
+        if type(label) is not int or label < 1:
+            Face(label)  # raises InvalidLabel unless an int subclass
+        i = bisect.bisect_left(self._labels, label)
+        if i == len(self._labels) or self._labels[i] != label:
             raise VertexNotInComplex(f"vertex {label} not in {self!r}")
-        bit = 1 << self._labels.index(label)
         return SimplicialComplex._from_masks(
-            self._labels, _deletion_masks(self._facet_masks, bit)
+            self._labels, _deletion_masks(self._facet_masks, 1 << i)
         )
 
     def canonical_facets(self) -> tuple[tuple[int, ...], ...]:

@@ -43,7 +43,8 @@ first failing path in smallest-vertex order.
 Trees compare and hash by structure.  ``Split`` caches its hash and
 compares shared children by identity first, and validation replays each
 (node, subcomplex) pair once, so each costs O(distinct nodes), not the
-size of the tree written out in full.
+size of the tree written out in full.  Validation takes a cone point's
+link as its deletion, which it equals, and deletes no vertex there.
 """
 
 from __future__ import annotations
@@ -276,10 +277,10 @@ def diagnose_certificate(
 
 
 def _diagnose(c, tree, verdicts) -> str | None:
-    key = (id(tree), c)
-    if key not in verdicts:
-        verdicts[key] = _diagnose_node(c, tree, verdicts)
-    return verdicts[key]
+    verdict = verdicts.get(key := (id(tree), c), verdicts)  # None is a verdict
+    if verdict is verdicts:
+        verdict = verdicts[key] = _diagnose_node(c, tree, verdicts)
+    return verdict
 
 
 def _diagnose_node(c, tree, verdicts) -> str | None:
@@ -299,10 +300,14 @@ def _diagnose_node(c, tree, verdicts) -> str | None:
     if isinstance(tree, Split):
         if tree.vertex not in c.vertex_set:
             return f"split vertex {tree.vertex} is not a vertex of {c!r}"
-        sub = _diagnose(c.link(Face(tree.vertex)), tree.link, verdicts)
+        link = c.link(Face._unsafe((tree.vertex,)))
+        sub = _diagnose(link, tree.link, verdicts)
         if sub is not None:
             return f"link of {tree.vertex}: {sub}"
-        sub = _diagnose(c.delete_vertex(tree.vertex), tree.deletion, verdicts)
+        deletion = link  # of a cone point, which lies in all facets of pure c
+        if link.facet_count < c.facet_count:
+            deletion = c.delete_vertex(tree.vertex)
+        sub = _diagnose(deletion, tree.deletion, verdicts)
         if sub is not None:
             return f"deletion of {tree.vertex}: {sub}"
         return None

@@ -204,7 +204,9 @@ class CMReport:
 
 def _check_face_budget(c: SimplicialComplex, face_budget: int) -> None:
     """Refuse a complex with more than face_budget faces, ∅ included."""
-    if _count_faces(c._facet_masks, face_budget) > face_budget:
+    masks = c._facet_masks  # a facet of s vertices has 2^s faces, ∅ included
+    bound = sum(1 << m.bit_count() for m in masks)
+    if bound > face_budget and _count_faces(masks, face_budget) > face_budget:
         raise BudgetExceeded(
             f"more than {face_budget} faces, over the budget of {face_budget}"
         )

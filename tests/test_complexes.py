@@ -109,6 +109,66 @@ def test_vertex_cap():
         make_complex([(i,) for i in range(1, 66)])
 
 
+# facet containers make_complex takes; the generator one is single-use
+CONTAINERS = [tuple, list, set, frozenset, lambda s: (v for v in s), lambda s: Face(*s)]
+BAD_LABELS = [True, 0, -3, 1.5, "2", None]
+
+
+def random_facet_list(rng):
+    """(label lists, the same facets in mixed containers): repeated labels
+    and facets, dominated faces, ∅ and scattered labels of 1..64."""
+    labels = rng.sample(range(1, 65), rng.randint(1, 12))
+    sets = [rng.sample(labels, rng.randint(0, min(5, len(labels))))
+            for _ in range(rng.randint(0, 7))]
+    if sets and rng.random() < 0.4:
+        sets.append(list(rng.choice(sets)))  # a repeated facet
+    if sets and rng.random() < 0.4:
+        sets.append(rng.choice(sets)[1:])  # a dominated face, ∅ from a point
+    faces = []
+    for s in sets:
+        s = s + s[: rng.randint(0, len(s))]  # repeated labels
+        rng.shuffle(s)
+        faces.append(rng.choice(CONTAINERS)(s))
+    return sets, faces
+
+
+def test_construction_matches_the_maximal_sets():
+    rng = random.Random(19)
+    for _ in range(2000):
+        sets, faces = random_facet_list(rng)
+        c = make_complex(iter(faces) if rng.random() < 0.5 else faces)
+        want = _maximal_sets(frozenset(s) for s in sets)
+        assert {frozenset(f.vertices) for f in c.facets} == want
+        assert len(c.facets) == len(want)
+        assert c.vertex_set == tuple(sorted(set().union(*want)))
+
+
+def test_construction_rejects_bad_labels_as_face_does():
+    rng = random.Random(20)
+    for _ in range(500):
+        sets, faces = random_facet_list(rng)
+        # hide a bad label in one facet, in its container's label order
+        bad = rng.choice(BAD_LABELS)
+        at = rng.randint(0, len(sets))
+        labels = rng.sample(range(1, 65), rng.randint(0, 3)) + [bad]
+        rng.shuffle(labels)
+        wrap = rng.choice(CONTAINERS[:5])
+        ordered = list(wrap(labels)) if wrap in (set, frozenset) else labels
+        faces.insert(at, wrap(labels))
+        with pytest.raises(InvalidLabel) as face_error:
+            Face(*ordered)
+        with pytest.raises(InvalidLabel) as error:
+            make_complex(faces)
+        assert str(error.value) == str(face_error.value)
+
+
+def test_construction_counts_labels_before_the_mask_width():
+    with pytest.raises(TooManyVertices, match="65 distinct vertices"):
+        make_complex([(i, i + 1) for i in range(1, 65)])
+    with pytest.raises(TooManyVertices, match="65 distinct vertices"):
+        make_complex(iter([range(1, 66)]))
+
+
 def test_labels_survive_roundtrip():
     c = make_complex([(10, 700), (700, 90000)])
     assert faces_as_sets(c.facets) == {(10, 700), (700, 90000)}
@@ -326,6 +386,34 @@ def test_delete_last_vertex_leaves_empty_face_complex():
 def test_delete_requires_vertex():
     with pytest.raises(VertexNotInComplex):
         make_complex([(1, 2)]).delete_vertex(9)
+    c = make_complex([(1, 2, 3), (2, 3, 4)])
+    for absent in (5, 64, 1 << 70):
+        with pytest.raises(VertexNotInComplex) as error:
+            c.delete_vertex(absent)
+        assert str(error.value) == f"vertex {absent} not in {c!r}"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 0, -1, "1"])
+def test_delete_vertex_rejects_bad_labels(bad):
+    # True and 1.0 equal 1, but are no vertex labels, as for link
+    c = make_complex([(1, 2, 3), (2, 3, 4)])
+    with pytest.raises(InvalidLabel) as error:
+        c.delete_vertex(bad)
+    assert str(error.value) == f"vertex labels must be integers >= 1, got {bad!r}"
+
+
+def test_link_and_membership_of_labels_outside_the_complex():
+    # labels below the least, above the greatest and between the labels
+    c = make_complex([(3, 5, 9), (5, 9, 12)])
+    for face in [Face(1), Face(2, 3), Face(13), Face(64), Face(4), Face(5, 7),
+                 Face(3, 12), Face(3, 5, 9, 12)]:
+        assert face not in c
+        with pytest.raises(FaceNotInComplex):
+            c.link(face)
+    for face, link in [(Face(3), [(5, 9)]), (Face(12), [(5, 9)]),
+                       (Face(5, 9), [(3,), (12,)]), (Face(3, 5, 9), [()])]:
+        assert face in c
+        assert c.link(face) == make_complex(link)
 
 
 def test_deletion_rule_takes_a_measured_cover():

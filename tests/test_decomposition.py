@@ -11,6 +11,7 @@ from kkvd import (
     EmptyFace,
     Face,
     Point,
+    SimplicialComplex,
     Split,
     Strategy,
     certify_vd,
@@ -516,6 +517,84 @@ def test_reused_node_is_judged_per_complex():
         "deletion of 1: link of 2: claimed single vertex 3, "
         "but complex is SimplicialComplex([{3,4}])"
     )
+
+
+def test_diagnosis_of_mutated_trees():
+    c = make_complex(segment(3, 6))
+    tree = certify_vd(c).tree
+    assert tree.vertex == 2
+    # a wrong split vertex, and link and deletion swapped
+    assert diagnose_certificate(c, Split(5, tree.link, tree.deletion)) == (
+        "link of 5: link of 3: deletion of 1: claimed single vertex 4, "
+        "but complex is SimplicialComplex([{}])"
+    )
+    assert diagnose_certificate(c, Split(2, tree.deletion, tree.link)) == (
+        "link of 2: link of 4: link of 1: claimed single vertex 3, "
+        "but complex is SimplicialComplex([{}])"
+    )
+    # a node reused under different subcomplexes, right in the first only
+    point = Point(3)
+    triangle = make_complex([(1, 2), (1, 3), (2, 3)])
+    assert diagnose_certificate(
+        triangle, Split(1, Split(2, EmptyFace(), point), Split(3, point, point))
+    ) == "deletion of 1: link of 3: claimed single vertex 3, but complex is SimplicialComplex([{2}])"
+
+
+def test_cone_point_deletion_is_judged_against_its_link():
+    # 1 lies in every facet, so its deletion is its link, the path 2-3-4
+    cone = make_complex([(1, 2, 3), (1, 3, 4)])
+    link_tree = certify_vd(cone.link(Face(1))).tree
+    assert validate_certificate(cone, Split(1, link_tree, link_tree))
+    assert diagnose_certificate(cone, Split(1, link_tree, Split(3, Point(2), Point(4)))) == (
+        "deletion of 1: link of 3: claimed single vertex 2, "
+        "but complex is SimplicialComplex([{2}, {4}])"
+    )
+    assert diagnose_certificate(cone, Split(1, link_tree, Split(2, EmptyFace(), Point(3)))) == (
+        "deletion of 1: link of 2: claimed {∅}, but complex is SimplicialComplex([{3}])"
+    )
+
+
+def split_visits(facets, tree, seen):
+    """(splits, cone splits) judged once per (node, subcomplex), on label sets."""
+    if not isinstance(tree, Split) or (id(tree), facets) in seen:
+        return 0, 0
+    seen.add((id(tree), facets))
+    v = tree.vertex
+    link = frozenset(f - {v} for f in facets if v in f)
+    rest = [f - {v} for f in facets]
+    deletion = frozenset(f for f in rest if not any(f < g for g in rest))
+    a = split_visits(link, tree.link, seen)
+    b = split_visits(deletion, tree.deletion, seen)
+    cone = all(v in f for f in facets)
+    return 1 + a[0] + b[0], cone + a[1] + b[1]
+
+
+def test_validation_deletes_a_vertex_only_at_splits_off_cones(monkeypatch):
+    calls = {"link": 0, "delete_vertex": 0}
+    for name in calls:
+        method = getattr(SimplicialComplex, name)
+
+        def counted(self, arg, method=method, name=name):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(SimplicialComplex, name, counted)
+    facet = make_complex([tuple(range(1, 9))])
+    assert validate_certificate(facet, certify_vd(facet).tree)
+    assert calls == {"link": 7, "delete_vertex": 0}  # a cone point at each split
+    rng = random.Random(21)
+    complexes = [facet, make_complex([(1, 2), (1, 3), (2, 3)])]
+    complexes += [make_complex(segment(k, rng.randint(2, 30))) for k in (2, 3, 4) * 5]
+    cones = 0
+    for c in complexes:
+        tree = certify_vd(c).tree
+        facets = frozenset(frozenset(f.vertices) for f in c.facets)
+        splits, cone_splits = split_visits(facets, tree, set())
+        calls.update(link=0, delete_vertex=0)
+        assert validate_certificate(c, tree)
+        assert calls == {"link": splits, "delete_vertex": splits - cone_splits}
+        cones += cone_splits
+    assert cones > 0
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 1.0, "1"])

@@ -456,6 +456,29 @@ def test_face_budget_counts_the_empty_face():
         reisner_cm_check(c, Q, face_budget=15)
 
 
+def test_face_budget_at_the_exact_face_count():
+    # two triangles on an edge: 1 + 4 + 5 + 2 = 12 faces, but 2^3 + 2^3 = 16
+    c = make_complex([(1, 2, 3), (2, 3, 4)])
+    assert reisner_cm_check(c, Q, face_budget=12).is_cm
+    with pytest.raises(BudgetExceeded, match="more than 11 faces, over the budget of 11"):
+        reisner_cm_check(c, Q, face_budget=11)
+
+
+def test_face_budget_still_refuses_a_14_vertex_facet():
+    # 2^14 = 16,384 faces
+    with pytest.raises(BudgetExceeded, match="more than 5000 faces, over the budget of 5000"):
+        reisner_cm_check(make_complex([tuple(range(1, 15))]), Q)
+
+
+def test_face_budget_counts_no_faces_under_the_facet_bound(monkeypatch):
+    # the facets' 2^|F| sum, 16 here, bounds the face count from above
+    def count_faces(masks, limit):
+        raise AssertionError("faces counted")
+
+    monkeypatch.setattr(kkvd.homology, "_count_faces", count_faces)
+    assert reisner_cm_check(make_complex([(1, 2, 3), (2, 3, 4)]), Q, face_budget=16).is_cm
+
+
 @pytest.mark.parametrize("field", [GF2, Q])
 def test_face_budget_stops_counting_on_a_large_facet(field):
     start = time.perf_counter()

@@ -69,3 +69,20 @@ def test_reisner_never_lists_every_face():
         if isinstance(node, ast.Attribute) and node.attr == "all_faces"
     ]
     assert calls == []
+
+
+def test_construction_builds_no_face_per_facet():
+    # SimplicialComplex.__init__ goes from labels to masks without as_face
+    path = next(p for p in SOURCES if p.name == "complexes.py")
+    cls = next(
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "SimplicialComplex"
+    )
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    names = [
+        node.lineno
+        for node in ast.walk(init)
+        if getattr(node, "id", getattr(node, "attr", None)) == "as_face"
+    ]
+    assert names == []
