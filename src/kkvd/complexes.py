@@ -186,7 +186,11 @@ class FaceFamily:
         return bool(self._faces)
 
     def __contains__(self, face: object) -> bool:
-        return isinstance(face, Face) and face in set(self._faces)
+        if not isinstance(face, Face) or len(face) != self._size:
+            return False
+        key = squashed_key(face._vertices)  # members are sorted by it
+        i = bisect.bisect_left(self._faces, key, key=lambda f: squashed_key(f.vertices))
+        return i < len(self._faces) and self._faces[i] == face
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FaceFamily) and self._faces == other._faces

@@ -20,12 +20,13 @@ exactly when every face has a link with vanishing reduced homology below
 its dimension.  Only GF(2) and the rationals are supported; torsion at odd
 primes is invisible here, which reports must spell out.
 
-A cone (some vertex lies in every facet) is contractible, so its reduced
-homology vanishes and no boundary matrix is built for it.  The Reisner
-check visits only faces of dimension at most d - 2, as larger faces have
-links of dimension at most 0, which cannot fail; it skips links that are
-cones and ranks each link shape once per call.  Its face budget counts
-faces only until the count passes it, which bounds a refusal's cost.
+A cone (some vertex in every facet) is contractible: its reduced homology
+vanishes and no boundary matrix is built for it.  A complex with cone
+points C is the join of the simplex C and its base B = lk(C), so
+lk(τ ∪ C) = lk_B(τ) (Munkres 1984).  The Reisner check runs on B, visits
+faces up to dimension dim B - 2 (larger faces have links of dimension at
+most 0, which cannot fail), hands cone links to reduced_betti and ranks
+each shape once; its face budget counts only until the count passes it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex, _bits, _compact, _components
-from .complexes import _count_faces, _face_of, _faces_of_size, _intersection
-from .complexes import _link_masks, _masks_of
+from .complexes import Face, SimplicialComplex, _bits, _components, _count_faces
+from .complexes import _face_of, _faces_of_size, _intersection
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
@@ -220,31 +220,26 @@ def reisner_cm_check(
     """Reisner's criterion: every link's reduced homology vanishes below its dimension.
 
     Records every (face, degree, rank) violation over all faces, ∅ included,
-    in squashed order per dimension.  Only faces C ∪ τ of dimension at most
-    d - 2 are visited, C the cone points and τ a face of the base: a face
-    missing a cone point has a cone for its link, and a (d-1)- or d-face,
-    pure or not, has {∅} or points, with no degree below -1 and b_{-1} = 0.
-    (A ∪ C) △ (B ∪ C) = A △ B keeps them in squashed order.  Links that
-    are cones are skipped, and each link shape is ranked once per call.
+    in squashed order per dimension, which (A ∪ C) △ (B ∪ C) = A △ B keeps
+    for the cone points C.  A face missing a cone point has a cone for its
+    link; a face τ ∪ C has lk_B(τ), B = lk(C), ranked even when a cone.
+    Only dimensions up to d - 2 are visited: a (d-1)- or d-face has {∅} or
+    points for its link, with no degree below -1 and b_{-1} = 0.
     """
     field = CoefficientField(field)
     if c.dimension is None:
         raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
     _check_face_budget(c, face_budget)
-    cone = _intersection(c._facet_masks)
-    base = SimplicialComplex._from_masks(c._labels, [f & ~cone for f in c._facet_masks])
-    faces = map(base.faces_of_dim, range(-1, c.dimension - 1 - cone.bit_count()))
+    apex = _face_of(_intersection(c._facet_masks), c._labels)
+    base = c.link(apex)
     betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
-    for m in _masks_of(itertools.chain(*faces), c._labels):
-        m |= cone
-        link = _link_masks(c._facet_masks, m)
-        if link == [0] or _intersection(link):  # a facet's link {∅}, or a cone
-            continue
-        shape = _compact(link)[1]
-        if shape not in betti:
-            betti[shape] = reduced_betti(c.link(_face_of(m, c._labels)), field).reduced
-        for i, rank in enumerate(betti[shape][:-1], start=-1):
-            if rank:
-                violations.append(Violation(_face_of(m, c._labels), i, rank))
+    for i in range(-1, base.dimension - 1):
+        for face in base.faces_of_dim(i):
+            link = base.link(face)
+            if link._facet_masks not in betti:
+                betti[link._facet_masks] = reduced_betti(link, field).reduced
+            for j, rank in enumerate(betti[link._facet_masks][:-1], start=-1):
+                if rank:
+                    violations.append(Violation(face.union(apex), j, rank))
     return CMReport(is_cm=not violations, field=field, violations=tuple(violations))

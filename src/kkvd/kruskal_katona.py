@@ -70,8 +70,8 @@ def _greedy(rem: int, k: int) -> Iterator[tuple[int, int]]:
     j = k
     while rem:  # at j = 1, a_1 = rem spends the rest
         lo, hi = j - 1, j  # C(j-1, j) = 0 always qualifies
-        while math.comb(hi, j) <= rem:
-            lo, hi = hi, hi * 2
+        while math.comb(hi, j) <= rem:  # double the gap above j - 1, not hi
+            lo, hi = hi, 2 * hi - j + 1
         while hi - lo > 1:  # invariant: C(lo, j) <= rem < C(hi, j)
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if math.comb(mid, j) <= rem else (lo, mid)

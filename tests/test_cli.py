@@ -154,6 +154,14 @@ def test_delta_of_two_member_families(d, capsys):
     assert capsys.readouterr().out.strip() == str(2 * d + 1)
 
 
+def test_delta_of_a_huge_set_size_ends_quickly(capsys):
+    # five 2,000,000-sets: each cascade term is C(j, j)
+    start = time.perf_counter()
+    assert main(["delta", "2000000", "5"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "9999990\n"
+
+
 def test_shadow_of_generated_segment(tmp_path, capsys):
     f = tmp_path / "seg.txt"
     main(["gen", "3", "5"])

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkvd import Face, FaceFamily, SimplicialComplex, make_complex
+from kkvd import Face, FaceFamily, SimplicialComplex, make_complex, segment
 from kkvd.complexes import _LISTED_COST, _deletion_masks, _faces_of_size, _ridges
 from kkvd.complexes import _shed_counts
 from kkvd.errors import (
@@ -22,7 +23,7 @@ from kkvd.errors import (
 from kkvd.kruskal_katona import _witness_scan
 
 from corpus import extremal_families_on_six, segment_complexes, skeleton_complexes
-from oracles import _maximal_sets, brute_faces
+from oracles import _maximal_sets, brute_faces, random_complex, random_family
 
 
 def faces_as_sets(family):
@@ -77,6 +78,44 @@ def test_empty_family():
     assert len(fam) == 0 and not fam
     assert fam.uniform_size == 4
     assert FaceFamily(()).uniform_size is None
+
+
+def membership_cases(rng):
+    """Families as the constructor, segments and faces_of_dim build them."""
+    for t in range(300):
+        k = rng.randint(1, 4)
+        members = random_family(rng, k, rng.randint(k, 8), rng.randint(0, 12))
+        yield FaceFamily(members, size=k)
+        yield segment(k, rng.randint(0, 30))
+        c = random_complex(rng)
+        yield c.faces_of_dim(rng.randint(-1, c.dimension))
+    yield FaceFamily(())
+    yield FaceFamily((), size=0)
+
+
+def test_family_membership_matches_a_set():
+    rng = random.Random(29)
+    for family in membership_cases(rng):
+        members = set(family)
+        probes = [*members, Face(), Face(1), (1, 2), [1], 1, None, "1 2", family]
+        for _ in range(20):
+            size = rng.randint(0, 5)
+            probes.append(Face(*rng.sample(range(1, 10), size)))
+        for probe in probes:
+            want = isinstance(probe, Face) and probe in members
+            assert (probe in family) is want, (family, probe)
+
+
+def test_family_membership_bisects():
+    family = segment(3, 100_000)
+    rng = random.Random(31)
+    probes = [Face(*rng.sample(range(1, 90), 3)) for _ in range(1000)]
+    start = time.perf_counter()
+    found = [probe in family for probe in probes]
+    assert time.perf_counter() - start < 0.1
+    members = set(family)
+    assert found == [probe in members for probe in probes]
+    assert 0 < sum(found) < len(probes)
 
 
 # ---------------------------------------------------------------- construction

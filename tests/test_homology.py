@@ -425,6 +425,39 @@ def test_reisner_matches_face_by_face_reference(field):
     assert violating >= 25  # the inputs exercise the violation path
 
 
+def interleaved_cones(rng):
+    """(Δ, C, C * Δ): 1-3 cone points C placed among Δ's labels in 1..64."""
+    for t in range(120):
+        base = random_complex(rng, max_vertices=7, max_faces=5)
+        if t % 2:
+            k = rng.randint(1, 3)
+            base = make_complex(random_family(rng, k, rng.randint(k, 7), rng.randint(1, 6)))
+        cone = rng.randint(1, 3)
+        labels = sorted(rng.sample(range(1, 65), len(base.vertex_set) + cone))
+        apex = Face(*rng.sample(labels, cone))
+        relabel = dict(zip(base.vertex_set, (v for v in labels if v not in apex)))
+        base = make_complex([[relabel[v] for v in f] for f in base.facets])
+        yield base, apex, make_complex([f.union(apex) for f in base.facets])
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_reisner_on_cones_with_interleaved_apex_labels(field):
+    # lk(τ ∪ C) = lk_Δ(τ) in C * Δ, and a face missing a point of C has a cone link
+    rng = random.Random(73)
+    violating = below = 0
+    for base, apex, c in interleaved_cones(rng):
+        report = reisner_cm_check(c, field)
+        assert list(report.violations) == reisner_reference(c, field), c
+        lifted = [
+            Violation(v.face.union(apex), v.index, v.rank)
+            for v in reisner_cm_check(base, field).violations
+        ]
+        assert list(report.violations) == lifted, c
+        violating += bool(lifted)
+        below += min(apex) < max(base.vertex_set)
+    assert violating >= 10 and below >= 60  # 14 and 97 with this seed
+
+
 def test_reisner_and_betti_on_spheres_are_fast():
     # the boundary of the 6-dimensional cross-polytope: 64 facets, 729 faces
     cross = [tuple(2 * i + s for i, s in enumerate(signs)) for signs in

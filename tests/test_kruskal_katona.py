@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,58 @@ def test_cascade_validity_bulk():
             assert all(a1 > a2 for a1, a2 in zip(top, top[1:]))
             a_t, t = rep.terms[-1]
             assert 1 <= t <= a_t
+
+
+def linear_cascade(n, k):
+    """The greedy cascade by stepping each a_j up one at a time from j - 1."""
+    terms = []
+    for j in range(k, 0, -1):
+        if not n:
+            break
+        a = j - 1
+        while math.comb(a + 1, j) <= n:
+            a += 1
+        terms.append((a, j))
+        n -= math.comb(a, j)
+    return tuple(terms)
+
+
+def test_cascade_and_unrank_match_a_linear_scan():
+    # small and large set sizes, against a search with no doubling
+    rng = random.Random(20)
+    for t in range(3000):
+        if t % 3 == 0:
+            n, k = rng.randint(1, 40), rng.randint(100, 5000)
+        else:
+            n, k = rng.randint(1, 100_000), rng.randint(2, 30)
+        want = linear_cascade(n, k)
+        assert cascade_rep(n, k).terms == want, (n, k)
+        if k <= 30:
+            assert colex_rank(colex_unrank(n, k)) == n, (n, k)
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        # five sets of 200,000 labels: terms C(j, j), shadow 5k - 10
+        (lambda: delta(5, 200_000), 999_990),
+        (
+            lambda: cascade_rep(3, 10**5).terms,
+            ((10**5, 10**5), (10**5 - 1, 10**5 - 1), (10**5 - 2, 10**5 - 2)),
+        ),
+        # rank 5 swaps the label k - 4 for k + 1
+        (
+            lambda: colex_unrank(5, 10**5),
+            Face(*range(1, 10**5 - 4), *range(10**5 - 3, 10**5 + 2)),
+        ),
+    ],
+    ids=["delta", "cascade_rep", "colex_unrank"],
+)
+def test_greedy_on_a_large_set_size_is_fast(call, want):
+    # the search above j - 1 never forms C(2j, j), a number of about 0.3 j digits
+    start = time.perf_counter()
+    assert call() == want
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------- delta

@@ -71,6 +71,19 @@ def test_reisner_never_lists_every_face():
     assert calls == []
 
 
+def test_reisner_builds_no_link_in_mask_space():
+    # homology reaches links through SimplicialComplex.link, not mask helpers
+    path = next(p for p in SOURCES if p.name == "homology.py")
+    helpers = {"_compact", "_link_masks", "_masks_of", "_from_masks"}
+    names = [
+        (node.lineno, getattr(node, field))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for field in ("id", "attr", "name")  # a name, an attribute, an import
+        if getattr(node, field, None) in helpers
+    ]
+    assert names == []
+
+
 def test_construction_builds_no_face_per_facet():
     # SimplicialComplex.__init__ goes from labels to masks without as_face
     path = next(p for p in SOURCES if p.name == "complexes.py")
