@@ -250,15 +250,18 @@ def _compact(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     masks = list(masks)
     union = _union(masks)
     gaps = ((1 << union.bit_length()) - 1) ^ union
+    kept = [*range(union.bit_length())]
     while gaps:
         # close the highest run of unused bits, start..top-1, in one shift
         top = gaps.bit_length()
         start = (~gaps & ((1 << top) - 1)).bit_length()
         low = (1 << start) - 1
         gaps &= low
+        del kept[start:top]  # entries below top still stand at their positions
         masks = [(m & low) | ((m >> (top - start)) & ~low) for m in masks]
     masks.sort()
-    return tuple(_bits(union)), tuple(sorted(masks, key=int.bit_count))
+    masks.sort(key=int.bit_count)
+    return tuple(kept), tuple(masks)
 
 
 def _masks_of(faces: Iterable[Iterable[int]], labels: Sequence[int]) -> list[int]:
@@ -502,17 +505,18 @@ class SimplicialComplex:
         return self._facet_masks[0].bit_count() == self._facet_masks[-1].bit_count()
 
     def _face_mask(self, face: Face) -> int | None:
-        """The face as a mask, or None when it is not a face of the complex."""
-        labels, m = self._labels, 0
-        for v in face._vertices:
-            i = bisect.bisect_left(labels, v)
+        """The face as a mask, or None when a label is not a vertex."""
+        labels, m, i = self._labels, 0, 0
+        for v in face._vertices:  # ascending, so each search starts past the last
+            i = bisect.bisect_left(labels, v, i)
             if i == len(labels) or labels[i] != v:
                 return None
             m |= 1 << i
-        return m if any(m & f == m for f in self._facet_masks) else None
+        return m
 
     def __contains__(self, face: object) -> bool:
-        return isinstance(face, Face) and self._face_mask(face) is not None
+        m = self._face_mask(face) if isinstance(face, Face) else None
+        return m is not None and any(m & f == m for f in self._facet_masks)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -565,11 +569,10 @@ class SimplicialComplex:
         """Faces disjoint from the given one whose union with it lies in the complex."""
         face = as_face(face)
         m = self._face_mask(face)
-        if m is None:
+        masks = [] if m is None else _link_masks(self._facet_masks, m)
+        if not masks:  # no facet holds the face
             raise FaceNotInComplex(f"{face!r} is not a face of {self!r}")
-        return SimplicialComplex._from_masks(
-            self._labels, _link_masks(self._facet_masks, m)
-        )
+        return SimplicialComplex._from_masks(self._labels, masks)
 
     def delete_vertex(self, label: int) -> "SimplicialComplex":
         """All faces avoiding the vertex; may come out non-pure."""
@@ -578,9 +581,9 @@ class SimplicialComplex:
         i = bisect.bisect_left(self._labels, label)
         if i == len(self._labels) or self._labels[i] != label:
             raise VertexNotInComplex(f"vertex {label} not in {self!r}")
-        return SimplicialComplex._from_masks(
-            self._labels, _deletion_masks(self._facet_masks, 1 << i)
-        )
+        bit, masks = 1 << i, self._facet_masks
+        covered = _shadow_masks([f for f in masks if not f & bit]) if self.is_pure else None
+        return SimplicialComplex._from_masks(self._labels, _deletion_masks(masks, bit, covered))
 
     def canonical_facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets after order-preserving relabeling onto 1..v, sorted.

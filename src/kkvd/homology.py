@@ -23,10 +23,11 @@ primes is invisible here, which reports must spell out.
 A cone (some vertex in every facet) is contractible: its reduced homology
 vanishes and no boundary matrix is built for it.  A complex with cone
 points C is the join of the simplex C and its base B = lk(C), so
-lk(τ ∪ C) = lk_B(τ) (Munkres 1984).  The Reisner check runs on B, visits
-faces up to dimension dim B - 2 (larger faces have links of dimension at
-most 0, which cannot fail), hands cone links to reduced_betti and ranks
-each shape once; its face budget counts only until the count passes it.
+lk(τ ∪ C) = lk_B(τ) (Munkres 1984).  The Reisner check runs on B, or on c
+itself with no cone, visits faces up to dimension dim B - 2 (the larger
+have points or {∅} for links, which cannot fail), reads a graph link's
+b_0 off its components and ranks each larger shape once; its face
+budget counts only until the count passes it.
 """
 
 from __future__ import annotations
@@ -222,24 +223,31 @@ def reisner_cm_check(
     Records every (face, degree, rank) violation over all faces, ∅ included,
     in squashed order per dimension, which (A ∪ C) △ (B ∪ C) = A △ B keeps
     for the cone points C.  A face missing a cone point has a cone for its
-    link; a face τ ∪ C has lk_B(τ), B = lk(C), ranked even when a cone.
-    Only dimensions up to d - 2 are visited: a (d-1)- or d-face has {∅} or
-    points for its link, with no degree below -1 and b_{-1} = 0.
+    link; a face τ ∪ C has lk_B(τ), B = lk(C).  A link of points or {∅}
+    has no degree below -1 and b_{-1} = 0, so only faces up to dimension
+    d - 2 are visited; a graph link fails only by b_0 = components - 1.
     """
     field = CoefficientField(field)
     if c.dimension is None:
         raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
     _check_face_budget(c, face_budget)
     apex = _face_of(_intersection(c._facet_masks), c._labels)
-    base = c.link(apex)
+    base = c.link(apex) if apex else c
     betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
     for i in range(-1, base.dimension - 1):
         for face in base.faces_of_dim(i):
-            link = base.link(face)
-            if link._facet_masks not in betti:
-                betti[link._facet_masks] = reduced_betti(link, field).reduced
-            for j, rank in enumerate(betti[link._facet_masks][:-1], start=-1):
+            link = base.link(face) if face else base
+            masks, dim = link._facet_masks, link.dimension
+            if dim == 1:  # a graph: only b_0 = components - 1 can fail
+                ranks: tuple[int, ...] = (0, _components(masks)[1] - 1)
+            elif dim > 1:
+                if masks not in betti:
+                    betti[masks] = reduced_betti(link, field).reduced[:-1]
+                ranks = betti[masks]
+            else:  # points or {∅}: b_{-1} = 0, and no degree lies below -1
+                continue
+            for j, rank in enumerate(ranks, start=-1):
                 if rank:
                     violations.append(Violation(face.union(apex), j, rank))
     return CMReport(is_cm=not violations, field=field, violations=tuple(violations))

@@ -32,6 +32,8 @@ def _checked(value: int, what: str = "value") -> int:
 
 def comb64(n: int, k: int) -> int:
     """Binomial coefficient, checked against the 64-bit range."""
+    if n < 0 or k < 0:
+        raise InvalidInput(f"C({n},{k}) needs n >= 0 and k >= 0")
     return _checked(math.comb(n, k), f"C({n},{k})")
 
 
@@ -61,6 +63,7 @@ def colex_unrank(rank: int, k: int) -> Face:
     if rank < 0:
         raise InvalidInput(f"rank must be >= 0, got {rank}")
     _checked(rank, "rank")
+    _checked(k, "set size")
     top = [a + 1 for a, _ in _greedy(rank, k)]
     return Face(*top, *range(1, k - len(top) + 1))  # past the last step a_j = j - 1
 
@@ -101,6 +104,7 @@ def _segment(k: int, n: int, avoid: int | None) -> FaceFamily:
         raise InvalidInput(f"count must be >= 0, got {n}")
     if avoid is not None and avoid < 1:
         raise InvalidInput(f"vertex labels must be >= 1, got {avoid}")
+    _checked(k, "set size")
     # vertex v is bit v - 1; adding the bits at and above `gap` to
     # themselves moves them up one place.  Labels stay below n + k, so with
     # no `avoid` nothing moves.

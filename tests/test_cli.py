@@ -162,6 +162,15 @@ def test_delta_of_a_huge_set_size_ends_quickly(capsys):
     assert capsys.readouterr().out == "9999990\n"
 
 
+def test_gen_of_a_set_size_past_64_bits_exits_2(capsys):
+    assert main(["gen", "100000000000000000000", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: set size 100000000000000000000 exceeds the checked 64-bit range\n"
+    )
+
+
 def test_shadow_of_generated_segment(tmp_path, capsys):
     f = tmp_path / "seg.txt"
     main(["gen", "3", "5"])

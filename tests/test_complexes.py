@@ -407,6 +407,51 @@ def test_link_requires_membership():
         make_complex([(1, 2), (2, 3)]).link(Face(1, 3))
 
 
+@pytest.mark.parametrize(
+    "facets, face, message",
+    [
+        # every label a vertex, but no facet holds them all
+        ([(1, 2), (2, 3)], Face(1, 3), "Face(1, 3) is not a face of SimplicialComplex([{1,2}, {2,3}])"),
+        ([(1, 2, 3), (3, 4, 5)], Face(2, 4), None),
+        ([(1, 2, 3), (3, 4, 5)], Face(1, 2, 3, 4), None),
+        ([(3, 5, 9), (5, 9, 12), (1,)], Face(1, 5), None),
+        # ∅ in the empty complex, which has no faces at all
+        ([], Face(), "Face() is not a face of SimplicialComplex([])"),
+        ([], Face(1), None),
+        # {∅} has ∅ as its one face
+        ([()], Face(1), "Face(1) is not a face of SimplicialComplex([{}])"),
+    ],
+)
+def test_link_refusals_keep_their_type_and_message(facets, face, message):
+    # one scan for the facets through the face decides membership
+    c = make_complex(facets)
+    assert face not in c
+    for arg in (face, face.vertices, list(face.vertices)):
+        with pytest.raises(FaceNotInComplex) as error:
+            c.link(arg)
+        assert str(error.value) == (message or f"{face!r} is not a face of {c!r}")
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [()],
+        [(4,)],
+        [(1, 2), (2, 3), (3, 1)],
+        [(3, 5, 9), (5, 9, 12), (9, 12, 64)],
+        list(itertools.combinations(range(1, 7), 3)),
+    ],
+    ids=["empty-face", "point", "triangle", "scattered", "C(6,3)"],
+)
+def test_link_of_the_empty_face_and_of_a_facet(facets):
+    # lk(∅) is the complex itself and a facet's link is {∅}, ∅ in {∅} included
+    c = make_complex(facets)
+    assert Face() in c and c.link(Face()) == c and c.link(()) == c
+    for facet in c.facets:
+        assert facet in c
+        assert c.link(facet) == make_complex([()])
+
+
 # ---------------------------------------------------------------- deletion
 
 

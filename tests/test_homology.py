@@ -584,3 +584,95 @@ def test_reisner_visits_only_faces_up_to_codimension_two(monkeypatch, c, top):
     )
     reisner_cm_check(c, Q)
     assert max(seen, default=None) == top
+
+
+# ------------------------------------------------------- links that are graphs
+
+
+def graph_link_inputs(rng):
+    """Complexes whose links of dimension at most 1 decide Reisner's check:
+    disconnected codimension-2 links, 1-dimensional links with isolated
+    points, bases of dimension 1 and cones over all of these."""
+    for t in range(160):
+        kind = t % 4
+        if kind == 0:  # wings on a (k-3)-face τ: lk(τ) is two or three disjoint edges
+            k = rng.randint(3, 4)
+            tau = tuple(range(1, k - 1))
+            wings = rng.randint(2, 3)
+            facets = [tau + (k - 1 + 2 * w, k + 2 * w) for w in range(wings)]
+            top = k + 2 * wings
+            facets += random_family(rng, k, top, rng.randint(0, 2))
+        elif kind == 1:  # triangles, plus edges that leave points in vertex links
+            facets = random_family(rng, 3, 6, rng.randint(1, 4))
+            support = sorted({v for f in facets for v in f})
+            facets += [(rng.choice(support), 7 + e) for e in range(rng.randint(1, 2))]
+        elif kind == 2:  # a graph with isolated points: a base of dimension 1
+            facets = random_family(rng, 2, rng.randint(2, 7), rng.randint(1, 6))
+            facets += [(8 + p,) for p in range(rng.randint(0, 2))]
+        else:  # a connected graph: a path with chords
+            n = rng.randint(2, 7)
+            facets = [(v, v + 1) for v in range(1, n)]
+            facets += random_family(rng, 2, n, rng.randint(0, 3))
+        c = make_complex(facets)
+        if t % 3 == 0:
+            c = with_apex(c) if t % 2 else with_apex(with_apex(c))
+        yield c
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_reisner_on_links_of_dimension_at_most_one(field):
+    # b_0 = components - 1 is all a graph link can fail by
+    rng = random.Random(79)
+    graph_failures = cones = disconnected = connected = 0
+    for c in graph_link_inputs(rng):
+        report = reisner_cm_check(c, field)
+        assert list(report.violations) == reisner_reference(c, field), c
+        graph_failures += any(c.link(v.face).dimension == 1 for v in report.violations)
+        apex = Face(*set.intersection(*(set(f) for f in c.facets)))
+        base = c.link(apex)
+        cones += bool(apex)
+        if base.dimension == 1:
+            graph = reisner_cm_check(base, field).is_cm
+            connected += graph
+            disconnected += not graph
+    # 108, 84, 40 and 60 with this seed
+    assert graph_failures >= 80 and cones >= 60 and connected >= 30 and disconnected >= 40
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+@pytest.mark.parametrize(
+    "c, ranked, links",
+    [
+        # ∅, then one shape for all eight vertex links; the 28 edge links are graphs
+        (make_complex(itertools.combinations(range(1, 9), 4)), 2, 8 + 28),
+        # ∅ only: vertex links are 5-cycles
+        (make_complex(RP2_FACETS), 1, 6),
+        # the apex's link, then the base's six vertices
+        (with_apex(make_complex(RP2_FACETS)), 1, 1 + 6),
+        # a graph: its own link of ∅ is read off its components
+        (make_complex([(1, 2), (3, 4)]), 0, 0),
+        # ∅, then lk(3) = an edge and a point, and graphs or points elsewhere
+        (make_complex([(1, 2, 3), (3, 4), (4, 5)]), 1, 5),
+    ],
+    ids=["C(8,4)", "rp2", "cone-over-rp2", "two-edges", "non-pure"],
+)
+def test_reisner_ranks_no_graph_link_and_copies_no_complex(monkeypatch, field, c, ranked, links):
+    seen_ranked, seen_links = [], []
+    real_betti, real_link = kkvd.homology.reduced_betti, SimplicialComplex.link
+
+    def betti(link, field):
+        seen_ranked.append(link.dimension)
+        return real_betti(link, field)
+
+    def link(self, face):
+        seen_links.append(Face(*face))
+        return real_link(self, face)
+
+    monkeypatch.setattr(kkvd.homology, "reduced_betti", betti)
+    monkeypatch.setattr(SimplicialComplex, "link", link)
+    report = reisner_cm_check(c, field)
+    assert len(seen_ranked) == ranked and all(d > 1 for d in seen_ranked)
+    # the link of ∅ is the complex itself: no link call copies it
+    assert len(seen_links) == links and Face() not in seen_links
+    monkeypatch.undo()
+    assert list(report.violations) == reisner_reference(c, field)

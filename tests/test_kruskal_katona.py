@@ -13,6 +13,7 @@ from kkvd import (
     FaceFamily,
     Witness,
     cascade_rep,
+    comb64,
     colex_rank,
     colex_unrank,
     delta,
@@ -108,6 +109,30 @@ def test_unrank_validates_arguments():
         colex_unrank(0, 0)
     with pytest.raises(InvalidInput):
         colex_unrank(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: colex_unrank(0, k),
+        lambda k: colex_unrank(5, k),
+        lambda k: segment(k, 1),
+        lambda k: segment_avoiding(k, 1, 3),
+    ],
+    ids=["unrank-0", "unrank-5", "segment", "segment_avoiding"],
+)
+def test_set_sizes_past_the_64_bit_range_overflow(call):
+    # not an OverflowError from range() or 1 << k, which is no KKError
+    for k in (2**63, 10**20):
+        with pytest.raises(Overflow, match=f"set size {k} exceeds the checked 64-bit range"):
+            call(k)
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (3, -1), (-2, -2)])
+def test_comb64_refuses_negative_arguments(n, k):
+    # math.comb raises a ValueError that is no KKError
+    with pytest.raises(InvalidInput, match=rf"C\({n},{k}\) needs n >= 0 and k >= 0"):
+        comb64(n, k)
 
 
 def test_segments_and_delta_validate_arguments():
