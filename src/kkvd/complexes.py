@@ -542,7 +542,7 @@ class SimplicialComplex:
         """All i-dimensional faces; i = -1 gives the single empty face."""
         d = self.dimension
         if d is None or i > d or i < -1:
-            raise OutOfRange(f"dimension {i} out of range for {self!r}")
+            raise OutOfRange(f"dimension {i} out of range for {_named(self)}")
         masks = _faces_of_size(self._facet_masks, i + 1)
         return FaceFamily._unsafe([_face_of(m, self._labels) for m in masks], i + 1)
 
@@ -571,7 +571,7 @@ class SimplicialComplex:
         m = self._face_mask(face)
         masks = [] if m is None else _link_masks(self._facet_masks, m)
         if not masks:  # no facet holds the face
-            raise FaceNotInComplex(f"{face!r} is not a face of {self!r}")
+            raise FaceNotInComplex(f"{face!r} is not a face of {_named(self)}")
         return SimplicialComplex._from_masks(self._labels, masks)
 
     def delete_vertex(self, label: int) -> "SimplicialComplex":
@@ -580,7 +580,7 @@ class SimplicialComplex:
             Face(label)  # raises InvalidLabel unless an int subclass
         i = bisect.bisect_left(self._labels, label)
         if i == len(self._labels) or self._labels[i] != label:
-            raise VertexNotInComplex(f"vertex {label} not in {self!r}")
+            raise VertexNotInComplex(f"vertex {label} not in {_named(self)}")
         bit, masks = 1 << i, self._facet_masks
         covered = _shadow_masks([f for f in masks if not f & bit]) if self.is_pure else None
         return SimplicialComplex._from_masks(self._labels, _deletion_masks(masks, bit, covered))
@@ -592,6 +592,17 @@ class SimplicialComplex:
         under an order-preserving relabeling of vertices.
         """
         return tuple(tuple(b + 1 for b in _bits(fm)) for fm in self._facet_masks)
+
+
+def _named(c: SimplicialComplex) -> str:
+    """How a message names a complex: its repr, cut after the last whole
+    facet in the first KiB when longer, so that no error line grows with
+    the input."""
+    text = repr(c)
+    if len(text) <= 1024:
+        return text
+    cut = text.rfind("}", 0, 1024) + 1 or 1024
+    return f"{text[:cut]}, ... {c.facet_count} facets])"
 
 
 def make_complex(faces: Iterable[FaceLike]) -> SimplicialComplex:

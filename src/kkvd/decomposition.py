@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _face_of, _union
-from .complexes import _deletion_masks, _is_pure, _link_masks, _ridges
+from .complexes import _deletion_masks, _is_pure, _link_masks, _named, _ridges
 from .errors import BudgetExceeded, InvalidInput, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _witness_scan, is_extremal
 
@@ -191,11 +191,11 @@ def certify_vd(
     """
     strategy = Strategy(strategy)
     if not c.is_pure:
-        raise NotPure(f"{c!r} is not pure")
+        raise NotPure(f"{_named(c)} is not pure")
     labels, masks = c.vertex_set, c._facet_masks
     extremal = strategy is not Strategy.EXHAUSTIVE and (c.is_empty or is_extremal(c))
     if strategy is Strategy.EXTREMAL and not extremal:
-        raise NotExtremal(f"{c!r} does not attain the shadow bound")
+        raise NotExtremal(f"{_named(c)} does not attain the shadow bound")
     tree, path = _certify(labels, masks, extremal, {})
     if extremal and tree is None:
         # unreachable: the paper's lemma keeps every link and deletion extremal
@@ -285,7 +285,7 @@ def _diagnose(c, tree, verdicts) -> str | None:
 
 def _diagnose_node(c, tree, verdicts) -> str | None:
     if not c.is_pure:
-        return f"{c!r} is not pure"
+        return f"{_named(c)} is not pure"
     if isinstance(tree, (Point, Split)):
         v = tree.vertex  # Point(True) would equal Point(1)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -294,12 +294,12 @@ def _diagnose_node(c, tree, verdicts) -> str | None:
         if tree == _base_tree(c.vertex_set, c._facet_masks):
             return None
         if isinstance(tree, Point):
-            return f"claimed single vertex {tree.vertex}, but complex is {c!r}"
+            return f"claimed single vertex {tree.vertex}, but complex is {_named(c)}"
         claim = "empty" if isinstance(tree, Empty) else "{∅}"
-        return f"claimed {claim}, but complex is {c!r}"
+        return f"claimed {claim}, but complex is {_named(c)}"
     if isinstance(tree, Split):
         if tree.vertex not in c.vertex_set:
-            return f"split vertex {tree.vertex} is not a vertex of {c!r}"
+            return f"split vertex {tree.vertex} is not a vertex of {_named(c)}"
         link = c.link(Face._unsafe((tree.vertex,)))
         sub = _diagnose(link, tree.link, verdicts)
         if sub is not None:
@@ -333,7 +333,7 @@ def find_shelling(
     order of ``c.facets``, or None.  The facet limit keeps it desk-scale.
     """
     if not c.is_pure:
-        raise NotPure(f"{c!r} is not pure")
+        raise NotPure(f"{_named(c)} is not pure")
     masks = c._facet_masks
     m = len(masks)
     if m > facet_limit:

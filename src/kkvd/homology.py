@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex, _bits, _components, _count_faces
-from .complexes import _face_of, _faces_of_size, _intersection
+from .complexes import _face_of, _faces_of_size, _intersection, _named
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
@@ -65,7 +65,7 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
     """
     d = c.dimension
     if d is None or i < 0 or i > d:
-        raise OutOfRange(f"boundary index {i} out of range for {c!r}")
+        raise OutOfRange(f"boundary index {i} out of range for {_named(c)}")
     rows = _faces_of_size(c._facet_masks, i)
     cols = _faces_of_size(c._facet_masks, i + 1)
     row_index = {m: r for r, m in enumerate(rows)}

@@ -168,14 +168,12 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
     if isinstance(fmt, bool) or fmt != CERTIFICATE_FORMAT:
         raise ParseError(f"unsupported certificate format {fmt!r}")
     raw_facets = doc.get("facets")
-    if not isinstance(raw_facets, list):
+    if not isinstance(raw_facets, list) or not all(isinstance(f, list) for f in raw_facets):
         raise ParseError("certificate facets must be a list of vertex lists")
     try:
         facets = [Face(*f) for f in raw_facets]
-    except (TypeError, InvalidLabel) as exc:
+    except InvalidLabel as exc:
         raise ParseError(f"bad facet in certificate: {exc}")
-    if not all(isinstance(f, list) for f in raw_facets):
-        raise ParseError("certificate facets must be a list of vertex lists")
     try:
         strategy = Strategy(doc.get("strategy"))
     except ValueError:

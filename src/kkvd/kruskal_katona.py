@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .complexes import Face, FaceFamily, SimplicialComplex, squashed_key
-from .complexes import _bits, _face_of, _masks_of, _ridges, _shadow_masks, _union
+from .complexes import _bits, _face_of, _masks_of, _named, _ridges, _shadow_masks, _union
 from .errors import EmptyComplex, InvalidInput, NotPure, Overflow, SizeMismatch
 
 _I64_MAX = 2**63 - 1
@@ -180,9 +180,14 @@ def delta(n: int, k: int) -> int:
         raise InvalidInput(f"set size must be >= 1, got {k}")
     if n < 0:
         raise InvalidInput(f"family size must be >= 0, got {n}")
-    if n == 0:
-        return 0
-    return cascade_rep(n, k).shadow_count()
+    _checked(n, "n")
+    total, rem = 0, n
+    for a, j in _greedy(n, k):  # the shadow_count of cascade_rep(n, k)
+        if rem <= j:  # the rest is C(j, j) + C(j-1, j-1) + ...: rem unit terms
+            return _checked(total + rem * j - rem * (rem - 1) // 2, "shadow bound")
+        total = _checked(total + comb64(a, j - 1), "shadow bound")
+        rem -= math.comb(a, j)
+    return total
 
 
 def is_extremal(c: SimplicialComplex) -> bool:
@@ -194,7 +199,7 @@ def is_extremal(c: SimplicialComplex) -> bool:
     if c.is_empty:
         raise EmptyComplex("extremality undefined for the empty complex")
     if not c.is_pure:
-        raise NotPure(f"{c!r} is not pure")
+        raise NotPure(f"{_named(c)} is not pure")
     masks = c._facet_masks
     k = masks[0].bit_count()
     # the (d-1)-faces of a pure complex are exactly the facet shadow

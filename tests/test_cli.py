@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from kkvd import make_complex
 from kkvd.cli import main
 
 from oracles import torus_facets
@@ -130,6 +131,23 @@ def test_vd_extremal_strategy_on_nonextremal_exits_2(capsys):
     assert "shadow bound" in capsys.readouterr().err
 
 
+def test_a_large_nonpure_complex_is_named_in_under_4_kib(tmp_path, capsys):
+    # vd and shell refuse a non-pure complex by naming it; a long repr is cut
+    rng = random.Random(1)
+    facets = [sorted(rng.sample(range(1, 51), 4)) for _ in range(400)] + [range(1, 7)]
+    path = tmp_path / "nonpure.txt"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    c = make_complex(facets)
+    assert len(repr(c)) > 4096
+    for command in ("vd", "shell"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SimplicialComplex([{")
+        assert captured.err.endswith(f"}}, ... {c.facet_count} facets]) is not pure\n")
+        assert max(map(len, captured.err.splitlines())) <= 4096
+
+
 # ---------------------------------------------------------------- gen / delta / shadow
 
 
@@ -160,6 +178,16 @@ def test_delta_of_a_huge_set_size_ends_quickly(capsys):
     assert main(["delta", "2000000", "5"]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "9999990\n"
+
+
+def test_delta_past_the_64_bit_range_exits_2_quickly(capsys):
+    # 10^12 unit terms C(j, j): their shadow count leaves the 64-bit range
+    start = time.perf_counter()
+    assert main(["delta", "1000000000000", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(" exceeds the checked 64-bit range\n")
 
 
 def test_gen_of_a_set_size_past_64_bits_exits_2(capsys):
@@ -486,11 +514,25 @@ GOLDEN_CASES = [
     ("shell_path.json", ["shell", str(DATA / "path.txt"), "--json"]),
     ("delta_3_5.json", ["delta", "3", "5", "--json"]),
     ("gen_3_5.txt", ["gen", "3", "5"]),
+    # plain text, as each command renders it without --json
+    ("analyze_path.txt", ["analyze", str(DATA / "path.txt")]),
+    ("analyze_nonpure.txt", ["analyze", str(DATA / "nonpure.txt")]),
+    ("delta_3_5.txt", ["delta", "3", "5"]),
+    ("shadow_rp2.txt", ["shadow", str(DATA / "rp2.txt")]),
+    ("vd_path.txt", ["vd", str(DATA / "path.txt")]),
+    ("vd_path_cert.txt", ["vd", str(DATA / "path.txt"), "--cert", "cert.json"]),
+    ("vd_disjoint_edges.txt", ["vd", str(DATA / "disjoint_edges.txt")]),
+    ("betti_rp2_gf2.txt", ["betti", str(DATA / "rp2.txt"), "--field", "gf2"]),
+    ("reisner_rp2_q.txt", ["reisner", str(DATA / "rp2.txt"), "--field", "q"]),
+    ("reisner_rp2_gf2.txt", ["reisner", str(DATA / "rp2.txt"), "--field", "gf2"]),
+    ("shell_path.txt", ["shell", str(DATA / "path.txt")]),
+    ("shell_disjoint_edges.txt", ["shell", str(DATA / "disjoint_edges.txt")]),
 ]
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden_outputs_are_byte_stable(name, argv):
+def test_golden_outputs_are_byte_stable(name, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --cert path lands here
     first_code, first_out, _ = run_cli(*argv)
     second_code, second_out, _ = run_cli(*argv)
     assert first_code == second_code

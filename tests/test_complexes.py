@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kkvd import Face, FaceFamily, SimplicialComplex, make_complex, segment
 from kkvd.complexes import _LISTED_COST, _deletion_masks, _faces_of_size, _ridges
-from kkvd.complexes import _shed_counts
+from kkvd.complexes import _named, _shed_counts
 from kkvd.errors import (
     BudgetExceeded,
     EmptyComplex,
@@ -430,6 +430,24 @@ def test_link_refusals_keep_their_type_and_message(facets, face, message):
         with pytest.raises(FaceNotInComplex) as error:
             c.link(arg)
         assert str(error.value) == (message or f"{face!r} is not a face of {c!r}")
+
+
+def test_messages_name_a_large_complex_by_its_first_facets():
+    small = make_complex([(1, 2), (2, 3)])
+    assert _named(small) == repr(small)
+    big = make_complex(itertools.combinations(range(1, 21), 3))
+    text = _named(big)
+    head = text.removesuffix(", ... 1140 facets])")
+    assert len(head) <= 1024 and head.endswith("}") and repr(big).startswith(head)
+    with pytest.raises(FaceNotInComplex) as error:
+        big.link((1, 2, 3, 4))
+    assert str(error.value) == f"Face(1, 2, 3, 4) is not a face of {text}"
+    with pytest.raises(VertexNotInComplex) as error:
+        big.delete_vertex(21)
+    assert str(error.value) == f"vertex 21 not in {text}"
+    # no whole facet in the first KiB: the repr is cut there
+    huge = make_complex([[10**200 + i for i in range(10)]])
+    assert _named(huge) == repr(huge)[:1024] + ", ... 1 facets])"
 
 
 @pytest.mark.parametrize(

@@ -313,11 +313,16 @@ def test_writer_renders_a_shared_subtree_once_per_depth(monkeypatch):
         },
         {"format": 1, "facets": [""], "strategy": "auto", "tree": {"kind": "empty"}},
         {"format": 1, "facets": [{}], "strategy": "auto", "tree": {"kind": "empty"}},
+        *(
+            {"format": 1, "facets": facets, "strategy": "auto", "tree": {"kind": "empty"}}
+            for facets in ([5], [None], ["12"], [[0]], [[True]], [[1.0]])
+        ),
     ],
 )
 def test_certificate_rejects_malformed_documents(doc):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as error:
         parse_certificate(doc)
+    assert "argument after" not in str(error.value)  # no TypeError text leaks out
 
 
 def split_chain(depth: int) -> dict:

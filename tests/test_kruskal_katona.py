@@ -342,6 +342,22 @@ def test_delta_agrees_with_shadow_enumeration():
             assert delta(n, k) == len(shadow(segment(k, n))), (k, n)
 
 
+def test_delta_matches_the_cascade_shadow_count():
+    # delta sums the shadow itself, counting a tail of unit terms at once
+    for k in range(1, 30):
+        for n in range(1, 400):
+            assert delta(n, k) == cascade_rep(n, k).shadow_count(), (k, n)
+
+
+def test_delta_counts_a_tail_of_unit_terms_at_once():
+    # n <= k: the cascade is C(k, k) + C(k-1, k-1) + ..., n unit terms
+    start = time.perf_counter()
+    assert delta(10**6, 10**6) == 500000500000
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(Overflow, match="^shadow bound .* exceeds the checked 64-bit range$"):
+        delta(10**12, 10**12)
+
+
 # ---------------------------------------------------------------- extremality
 
 

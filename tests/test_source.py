@@ -99,3 +99,23 @@ def test_construction_builds_no_face_per_facet():
         if getattr(node, "id", getattr(node, "attr", None)) == "as_face"
     ]
     assert names == []
+
+
+def test_cli_writes_stdout_only_in_main():
+    # each command returns (exit code, document, text) and main writes one
+    # of the two, so no command may print to stdout or touch sys.stdout
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    module = ast.parse(path.read_text(), filename=str(path))
+    writes = []
+    for stmt in module.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "main":
+            continue
+        for node in ast.walk(stmt):
+            # sys.stdout, a bare stdout, or stdout imported from sys
+            if "stdout" in [getattr(node, f, None) for f in ("attr", "id", "name")]:
+                writes.append(node.lineno)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                to = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                if to != ["sys.stderr"]:
+                    writes.append(node.lineno)
+    assert writes == []
