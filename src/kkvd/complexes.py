@@ -9,12 +9,12 @@ no Face per facet.  Subset tests, links and deletions are word operations.
 
 The helpers below are the one copy of each mask operation: set bits, purity,
 union and intersection, the maximal filter, compaction (:func:`_compact`,
-the only place labels get renumbered), faces to masks and back, the one
-face enumerator (:func:`_faces_of_size`, ascending masks in squashed
-order), a face count that stops past a limit, the shadow, the ridge
-tally, link and deletion (through the shadow when the complex is pure,
-with no maximal filter).  F-vectors count faces by the deletion-link
-recursion, or list them where that costs less (:func:`_face_counts`).
+the only place labels get renumbered), faces to masks and back, the faces
+of one size (:func:`_faces_of_size`, ascending masks in squashed order),
+the one walk over all faces, which stops past a limit, the shadow, the
+ridge tally, link and deletion (through the shadow when the complex is
+pure, with no maximal filter).  F-vectors count faces by the deletion-link
+recursion, or by that walk where it costs less (:func:`_face_counts`).
 The recursions of :mod:`kkvd.decomposition` run on them directly and
 build no complex per node.  :class:`Face` and :class:`FaceFamily` exist
 only at the edges: the public API and parsing and formatting.  All public
@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -70,7 +71,7 @@ class Face:
         seen = set()
         for v in labels:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InvalidLabel(f"vertex labels must be integers >= 1, got {v!r}")
+                raise InvalidLabel(f"vertex labels must be integers >= 1, got {_named(v)}")
             seen.add(v)
         self._vertices: tuple[int, ...] = tuple(sorted(seen))
 
@@ -105,7 +106,7 @@ class Face:
         return hash(self._vertices)
 
     def __repr__(self) -> str:
-        return f"Face({', '.join(map(str, self._vertices))})"
+        return f"Face({', '.join(map(_named, self._vertices))})"
 
     def issubset(self, other: "Face") -> bool:
         return set(self._vertices) <= set(other._vertices)
@@ -116,7 +117,7 @@ class Face:
     def without(self, label: int) -> "Face":
         """The face with one vertex removed."""
         if label not in self._vertices:
-            raise InvalidInput(f"vertex {label} not in {self!r}")
+            raise InvalidInput(f"vertex {_named(label)} not in {_named(self)}")
         return Face(*(v for v in self._vertices if v != label))
 
     def with_vertex(self, label: int) -> "Face":
@@ -296,8 +297,8 @@ def _face_counts(masks: Sequence[int]) -> list[int]:
     """(f_-1, f_0, ...) of the complex the maximal masks generate.
 
     The shedding recursion may spend as much as listing the faces would;
-    past that, listing counts them, unless it would pass ``_COUNT_BUDGET``,
-    which refuses the count with ``BudgetExceeded``.
+    past that, one walk over the faces counts them by size, unless it would
+    pass ``_COUNT_BUDGET``, which refuses the count with ``BudgetExceeded``.
     """
     listing = _LISTED_COST * sum(1 << m.bit_count() for m in masks)
     try:
@@ -305,8 +306,8 @@ def _face_counts(masks: Sequence[int]) -> list[int]:
     except BudgetExceeded:
         if listing > _COUNT_BUDGET:
             raise
-    top = max(map(int.bit_count, masks))
-    return [len(_faces_of_size(masks, k)) for k in range(top + 1)]
+    sizes = [*map(int.bit_count, _count_faces(masks, listing))]
+    return [sizes.count(k) for k in range(max(sizes) + 1)]
 
 
 def _shed_counts(masks: tuple[int, ...], memo: dict, left: list[int]) -> list[int]:
@@ -340,19 +341,19 @@ def _shed_counts(masks: tuple[int, ...], memo: dict, left: list[int]) -> list[in
     return memo[masks]
 
 
-def _count_faces(masks: Iterable[int], limit: int) -> int:
-    """Distinct faces (∅ included) under the facets, counted up to limit + 1."""
+def _count_faces(masks: Iterable[int], limit: int) -> set[int]:
+    """The distinct faces (∅ included) under the facets as masks, up to limit + 1."""
     seen: set[int] = set()
     for f in masks:
         s = f
         while True:  # every submask of f, f itself first and 0 last
             seen.add(s)
             if len(seen) > limit:
-                return len(seen)
+                return seen
             if not s:
                 break
             s = (s - 1) & f
-    return len(seen)
+    return seen
 
 
 def _link_masks(masks: Iterable[int], face: int) -> list[int]:
@@ -529,10 +530,8 @@ class SimplicialComplex:
         return hash((self._labels, self._facet_masks))
 
     def __repr__(self) -> str:
-        if self.is_empty:
-            return "SimplicialComplex([])"
         inner = ", ".join(
-            "{" + ",".join(map(str, f.vertices)) + "}" for f in self.facets
+            "{" + ",".join(map(_named, f.vertices)) + "}" for f in self.facets
         )
         return f"SimplicialComplex([{inner}])"
 
@@ -542,7 +541,7 @@ class SimplicialComplex:
         """All i-dimensional faces; i = -1 gives the single empty face."""
         d = self.dimension
         if d is None or i > d or i < -1:
-            raise OutOfRange(f"dimension {i} out of range for {_named(self)}")
+            raise OutOfRange(f"dimension {_named(i)} out of range for {_named(self)}")
         masks = _faces_of_size(self._facet_masks, i + 1)
         return FaceFamily._unsafe([_face_of(m, self._labels) for m in masks], i + 1)
 
@@ -571,7 +570,7 @@ class SimplicialComplex:
         m = self._face_mask(face)
         masks = [] if m is None else _link_masks(self._facet_masks, m)
         if not masks:  # no facet holds the face
-            raise FaceNotInComplex(f"{face!r} is not a face of {_named(self)}")
+            raise FaceNotInComplex(f"{_named(face)} is not a face of {_named(self)}")
         return SimplicialComplex._from_masks(self._labels, masks)
 
     def delete_vertex(self, label: int) -> "SimplicialComplex":
@@ -580,10 +579,9 @@ class SimplicialComplex:
             Face(label)  # raises InvalidLabel unless an int subclass
         i = bisect.bisect_left(self._labels, label)
         if i == len(self._labels) or self._labels[i] != label:
-            raise VertexNotInComplex(f"vertex {label} not in {_named(self)}")
-        bit, masks = 1 << i, self._facet_masks
-        covered = _shadow_masks([f for f in masks if not f & bit]) if self.is_pure else None
-        return SimplicialComplex._from_masks(self._labels, _deletion_masks(masks, bit, covered))
+            raise VertexNotInComplex(f"vertex {_named(label)} not in {_named(self)}")
+        masks = _deletion_masks(self._facet_masks, 1 << i)
+        return SimplicialComplex._from_masks(self._labels, masks)
 
     def canonical_facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets after order-preserving relabeling onto 1..v, sorted.
@@ -594,15 +592,22 @@ class SimplicialComplex:
         return tuple(tuple(b + 1 for b in _bits(fm)) for fm in self._facet_masks)
 
 
-def _named(c: SimplicialComplex) -> str:
-    """How a message names a complex: its repr, cut after the last whole
-    facet in the first KiB when longer, so that no error line grows with
-    the input."""
-    text = repr(c)
+def _named(value: object) -> str:
+    """How a message shows a value a caller passed in, so that no error line
+    grows with the input or fails to format: an int past the digit limit by
+    its size, anything else by its repr cut at 1 KiB, a complex's after the
+    last whole facet there."""
+    limit = sys.get_int_max_str_digits()  # 0 for none; a digit takes over 3 bits
+    if isinstance(value, int) and 0 < 3 * limit < value.bit_length():
+        if abs(value) >= 10**limit:
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    text = repr(value)
     if len(text) <= 1024:
         return text
-    cut = text.rfind("}", 0, 1024) + 1 or 1024
-    return f"{text[:cut]}, ... {c.facet_count} facets])"
+    if isinstance(value, SimplicialComplex):
+        cut = text.rfind("}", 0, 1024) + 1 or 1024
+        return f"{text[:cut]}, ... {value.facet_count} facets])"
+    return f"{text[:1024]}... ({len(text)} characters)"
 
 
 def make_complex(faces: Iterable[FaceLike]) -> SimplicialComplex:

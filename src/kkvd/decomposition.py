@@ -70,7 +70,7 @@ class Strategy(enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise InvalidInput(f"unknown strategy {value!r}")
+        raise InvalidInput(f"unknown strategy {_named(value)}")
 
 
 @dataclass(frozen=True)
@@ -289,29 +289,29 @@ def _diagnose_node(c, tree, verdicts) -> str | None:
     if isinstance(tree, (Point, Split)):
         v = tree.vertex  # Point(True) would equal Point(1)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            return f"node vertex must be a positive integer, got {v!r}"
+            return f"node vertex must be a positive integer, got {_named(v)}"
     if isinstance(tree, (Empty, EmptyFace, Point)):
         if tree == _base_tree(c.vertex_set, c._facet_masks):
             return None
         if isinstance(tree, Point):
-            return f"claimed single vertex {tree.vertex}, but complex is {_named(c)}"
+            return f"claimed single vertex {_named(tree.vertex)}, but complex is {_named(c)}"
         claim = "empty" if isinstance(tree, Empty) else "{∅}"
         return f"claimed {claim}, but complex is {_named(c)}"
     if isinstance(tree, Split):
         if tree.vertex not in c.vertex_set:
-            return f"split vertex {tree.vertex} is not a vertex of {_named(c)}"
+            return f"split vertex {_named(tree.vertex)} is not a vertex of {_named(c)}"
         link = c.link(Face._unsafe((tree.vertex,)))
         sub = _diagnose(link, tree.link, verdicts)
         if sub is not None:
-            return f"link of {tree.vertex}: {sub}"
+            return f"link of {_named(tree.vertex)}: {sub}"
         deletion = link  # of a cone point, which lies in all facets of pure c
         if link.facet_count < c.facet_count:
             deletion = c.delete_vertex(tree.vertex)
         sub = _diagnose(deletion, tree.deletion, verdicts)
         if sub is not None:
-            return f"deletion of {tree.vertex}: {sub}"
+            return f"deletion of {_named(tree.vertex)}: {sub}"
         return None
-    return f"unknown tree node {tree!r}"
+    return f"unknown tree node {_named(tree)}"
 
 
 def validate_certificate(c: SimplicialComplex, tree: DecompositionTree) -> bool:
@@ -337,7 +337,7 @@ def find_shelling(
     masks = c._facet_masks
     m = len(masks)
     if m > facet_limit:
-        raise LimitExceeded(f"{m} facets exceed the limit of {facet_limit}")
+        raise LimitExceeded(f"{m} facets exceed the limit of {_named(facet_limit)}")
     order: list[int] = []
     placed = j = 0
     dead: set[int] = set()

@@ -53,7 +53,7 @@ class CoefficientField(enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise InvalidInput(f"unknown coefficient field {value!r}")
+        raise InvalidInput(f"unknown coefficient field {_named(value)}")
 
 
 def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
@@ -65,7 +65,7 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
     """
     d = c.dimension
     if d is None or i < 0 or i > d:
-        raise OutOfRange(f"boundary index {i} out of range for {_named(c)}")
+        raise OutOfRange(f"boundary index {_named(i)} out of range for {_named(c)}")
     rows = _faces_of_size(c._facet_masks, i)
     cols = _faces_of_size(c._facet_masks, i + 1)
     row_index = {m: r for r, m in enumerate(rows)}
@@ -207,10 +207,9 @@ def _check_face_budget(c: SimplicialComplex, face_budget: int) -> None:
     """Refuse a complex with more than face_budget faces, ∅ included."""
     masks = c._facet_masks  # a facet of s vertices has 2^s faces, ∅ included
     bound = sum(1 << m.bit_count() for m in masks)
-    if bound > face_budget and _count_faces(masks, face_budget) > face_budget:
-        raise BudgetExceeded(
-            f"more than {face_budget} faces, over the budget of {face_budget}"
-        )
+    if bound > face_budget and len(_count_faces(masks, face_budget)) > face_budget:
+        budget = _named(face_budget)
+        raise BudgetExceeded(f"more than {budget} faces, over the budget of {budget}")
 
 
 def reisner_cm_check(

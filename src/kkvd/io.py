@@ -31,9 +31,10 @@ plus the copying of its text.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, TextIO
+import sys
+from typing import Iterable, TextIO
 
-from .complexes import MAX_VERTICES, Face
+from .complexes import MAX_VERTICES, Face, _named
 from .decomposition import (
     DecompositionTree,
     Empty,
@@ -53,31 +54,21 @@ WRITTEN_NODE_BUDGET = 2**20
 def parse_facets(text: str) -> list[Face]:
     """Parse facet-list text; raises :class:`ParseError` with a line number."""
     faces = []
+    # 0 means no limit, and no token is longer than the text
+    digits = sys.get_int_max_str_digits() or len(text)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
+        tokens = line.split()  # non-ASCII blanks split too
         if not tokens or tokens[0].startswith("#"):
             continue
-        try:
+        for token in tokens:
             # int() alone also takes signs, underscores and non-ASCII digits
-            if not (line.isascii() and all(map(str.isdigit, tokens))):
-                raise ValueError
-            labels = sorted(set(map(int, tokens)))
-        except ValueError:  # name the first bad token; non-ASCII blanks pass
-            labels = sorted(set(_labels(tokens, lineno)))
+            if not (token.isascii() and token.isdigit()) or len(token) > digits:
+                raise ParseError(f"expected a positive integer, got {_named(token)}", lineno)
+        labels = sorted(set(map(int, tokens)))
         if labels[0] < 1:  # 0, as every label is ASCII digits
             raise ParseError("vertex labels must be integers >= 1, got 0", lineno)
         faces.append(Face._unsafe(tuple(labels)))
     return faces
-
-
-def _labels(tokens: list[str], lineno: int) -> Iterator[int]:
-    for token in tokens:
-        try:
-            if not (token.isascii() and token.isdigit()):
-                raise ValueError(token)
-            yield int(token)
-        except ValueError:
-            raise ParseError(f"expected a positive integer, got {token!r}", lineno)
 
 
 def format_facets(faces: Iterable[Face]) -> str:
@@ -114,7 +105,7 @@ def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
     run out of stack.
     """
     if not isinstance(node, dict) or "kind" not in node:
-        raise ParseError(f"certificate node must be an object with a kind: {node!r}")
+        raise ParseError(f"certificate node must be an object with a kind: {_named(node)}")
     kind = node["kind"]
     if kind == "empty":
         return Empty()
@@ -132,13 +123,13 @@ def node_to_tree(node: object, depth: int = 0) -> DecompositionTree:
             link=node_to_tree(node["link"], depth + 1),
             deletion=node_to_tree(node["deletion"], depth + 1),
         )
-    raise ParseError(f"unknown certificate node kind {kind!r}")
+    raise ParseError(f"unknown certificate node kind {_named(kind)}")
 
 
 def _vertex_of(node: dict) -> int:
     v = node.get("vertex")
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ParseError(f"node vertex must be a positive integer, got {v!r}")
+        raise ParseError(f"node vertex must be a positive integer, got {_named(v)}")
     return v
 
 
@@ -166,7 +157,7 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
         raise ParseError("certificate must be a JSON object")
     fmt = doc.get("format")
     if isinstance(fmt, bool) or fmt != CERTIFICATE_FORMAT:
-        raise ParseError(f"unsupported certificate format {fmt!r}")
+        raise ParseError(f"unsupported certificate format {_named(fmt)}")
     raw_facets = doc.get("facets")
     if not isinstance(raw_facets, list) or not all(isinstance(f, list) for f in raw_facets):
         raise ParseError("certificate facets must be a list of vertex lists")
@@ -177,7 +168,7 @@ def parse_certificate(doc: object) -> tuple[list[Face], Strategy, DecompositionT
     try:
         strategy = Strategy(doc.get("strategy"))
     except ValueError:
-        raise ParseError(f"unknown strategy {doc.get('strategy')!r}")
+        raise ParseError(f"unknown strategy {_named(doc.get('strategy'))}")
     return facets, strategy, node_to_tree(doc.get("tree"))
 
 

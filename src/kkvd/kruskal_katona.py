@@ -24,17 +24,19 @@ from .errors import EmptyComplex, InvalidInput, NotPure, Overflow, SizeMismatch
 _I64_MAX = 2**63 - 1
 
 
-def _checked(value: int, what: str = "value") -> int:
+def _checked(value: int, what: str, *values: object) -> int:
+    """`value`, or ``Overflow`` naming it as `what` filled in with `values`."""
     if value > _I64_MAX:
-        raise Overflow(f"{what} {value} exceeds the checked 64-bit range")
+        what = what.format(*map(_named, values))
+        raise Overflow(f"{what} {_named(value)} exceeds the checked 64-bit range")
     return value
 
 
 def comb64(n: int, k: int) -> int:
     """Binomial coefficient, checked against the 64-bit range."""
     if n < 0 or k < 0:
-        raise InvalidInput(f"C({n},{k}) needs n >= 0 and k >= 0")
-    return _checked(math.comb(n, k), f"C({n},{k})")
+        raise InvalidInput(f"C({_named(n)},{_named(k)}) needs n >= 0 and k >= 0")
+    return _checked(math.comb(n, k), "C({},{})", n, k)
 
 
 def squashed_cmp(a: Face, b: Face) -> int:
@@ -59,9 +61,9 @@ def colex_rank(face: Face) -> int:
 def colex_unrank(rank: int, k: int) -> Face:
     """The k-set at the given squashed-order position (inverse of colex_rank)."""
     if k < 1:
-        raise InvalidInput(f"set size must be >= 1, got {k}")
+        raise InvalidInput(f"set size must be >= 1, got {_named(k)}")
     if rank < 0:
-        raise InvalidInput(f"rank must be >= 0, got {rank}")
+        raise InvalidInput(f"rank must be >= 0, got {_named(rank)}")
     _checked(rank, "rank")
     _checked(k, "set size")
     top = [a + 1 for a, _ in _greedy(rank, k)]
@@ -99,11 +101,11 @@ def segment_avoiding(k: int, n: int, avoid: int) -> FaceFamily:
 
 def _segment(k: int, n: int, avoid: int | None) -> FaceFamily:
     if k < 1:
-        raise InvalidInput(f"set size must be >= 1, got {k}")
+        raise InvalidInput(f"set size must be >= 1, got {_named(k)}")
     if n < 0:
-        raise InvalidInput(f"count must be >= 0, got {n}")
+        raise InvalidInput(f"count must be >= 0, got {_named(n)}")
     if avoid is not None and avoid < 1:
-        raise InvalidInput(f"vertex labels must be >= 1, got {avoid}")
+        raise InvalidInput(f"vertex labels must be >= 1, got {_named(avoid)}")
     _checked(k, "set size")
     # vertex v is bit v - 1; adding the bits at and above `gap` to
     # themselves moves them up one place.  Labels stay below n + k, so with
@@ -129,12 +131,9 @@ def _segment_masks(k: int, n: int) -> Iterator[int]:
 
 def shadow(family: FaceFamily) -> FaceFamily:
     """All (k-1)-subsets of the members; the empty family shadows to itself."""
-    if not family:
-        k = family.uniform_size
-        return FaceFamily((), size=None if k is None else max(k - 1, 0))
     k = family.uniform_size
-    if k == 0:
-        return FaceFamily((), size=0)
+    if not family or k == 0:  # {∅} has nothing below its one member
+        return FaceFamily((), size=None if k is None else max(k - 1, 0))
     support = family.support
     # ascending masks over the sorted support are already in squashed order
     masks = sorted(_shadow_masks(_masks_of(family, support)))
@@ -166,9 +165,9 @@ class CascadeRep:
 def cascade_rep(n: int, k: int) -> CascadeRep:
     """Greedy construction of the unique binomial cascade of n at level k."""
     if n < 1:
-        raise InvalidInput(f"cascade undefined for n={n}")
+        raise InvalidInput(f"cascade undefined for n={_named(n)}")
     if k < 1:
-        raise InvalidInput(f"cascade undefined for k={k}")
+        raise InvalidInput(f"cascade undefined for k={_named(k)}")
     _checked(n, "n")
     # greedy keeps a_j >= j and strictly decreasing: the uniqueness condition
     return CascadeRep(tuple(_greedy(n, k)))
@@ -177,9 +176,9 @@ def cascade_rep(n: int, k: int) -> CascadeRep:
 def delta(n: int, k: int) -> int:
     """Minimum shadow size over families of n k-sets (delta_{k-1}(n))."""
     if k < 1:
-        raise InvalidInput(f"set size must be >= 1, got {k}")
+        raise InvalidInput(f"set size must be >= 1, got {_named(k)}")
     if n < 0:
-        raise InvalidInput(f"family size must be >= 0, got {n}")
+        raise InvalidInput(f"family size must be >= 0, got {_named(n)}")
     _checked(n, "n")
     total, rem = 0, n
     for a, j in _greedy(n, k):  # the shadow_count of cascade_rep(n, k)

@@ -69,6 +69,11 @@ def test_analyze_zero_dimensional_complex(tmp_path, capsys):
     assert "kk-bound: 1" in out
     assert "slack: 0" in out
     assert "extremal: yes" in out
+    f.write_text("# no facets\n")
+    assert main(["analyze", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert "facets: 0\n" in captured.out
+    assert captured.err == "warning: empty complex, nothing to analyze\n"
 
 
 def test_analyze_nonpure_warns_and_nulls_extremality(capsys):

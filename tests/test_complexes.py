@@ -14,6 +14,7 @@ from kkvd.errors import (
     BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
+    InvalidInput,
     InvalidLabel,
     OutOfRange,
     SizeMismatch,
@@ -53,6 +54,8 @@ def test_face_set_behaviour():
     assert 2 in f and 3 not in f
     assert f.union(Face(3)) == Face(2, 3, 5)
     assert f.without(5) == Face(2)
+    with pytest.raises(InvalidInput, match=r"^vertex 3 not in Face\(2, 5\)$"):
+        f.without(3)
     assert Face(2).issubset(f)
 
 
@@ -64,6 +67,8 @@ def test_family_dedups_and_sorts_squashed():
     assert [f.vertices for f in fam] == [(1, 2), (2, 3), (1, 4)]
     assert fam.uniform_size == 2
     assert fam.support == (1, 2, 3, 4)
+    assert repr(fam) == "FaceFamily([Face(1, 2), Face(2, 3), Face(1, 4)])"
+    assert hash(fam) == hash(FaceFamily([Face(1, 4), Face(1, 2), Face(2, 3)]))
 
 
 def test_family_rejects_mixed_sizes():

@@ -452,6 +452,7 @@ def test_shared_trees_compare_and_hash_in_distinct_nodes():
 def test_split_equality_stays_structural():
     shared = Point(3)
     assert Split(1, shared, shared) == Split(1, Point(3), Point(3))
+    assert Split(1, shared, Empty()) == Split(1, shared, Empty())  # one child object
     assert hash(Split(1, shared, shared)) == hash(Split(1, Point(3), Point(3)))
     assert Split(1, Point(3), Point(3)) != Split(1, Point(3), Point(4))
     assert Split(1, Point(4), Point(3)) != Split(1, Point(3), Point(3))

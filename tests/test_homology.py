@@ -178,7 +178,9 @@ def test_empty_face_complex_profile():
 
 def test_two_sphere():
     boundary = list(itertools.combinations(range(1, 5), 3))
-    assert reduced_betti(make_complex(boundary), Q).reduced == (0, 0, 0, 1)
+    profile = reduced_betti(make_complex(boundary), Q)
+    assert profile.reduced == (0, 0, 0, 1)
+    assert profile.top_dimension == 2
 
 
 def test_betti_requires_faces():

@@ -299,6 +299,7 @@ def test_writer_renders_a_shared_subtree_once_per_depth(monkeypatch):
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "wat"}},
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "split"}},
         {"format": 1, "facets": [], "strategy": "auto", "tree": {"kind": "point"}},
+        {"format": 1, "facets": [], "strategy": "auto", "tree": [{"kind": "empty"}]},
         {
             "format": True,
             "facets": [[1]],

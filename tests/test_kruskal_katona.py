@@ -135,6 +135,12 @@ def test_comb64_refuses_negative_arguments(n, k):
         comb64(n, k)
 
 
+def test_comb64_in_range_formats_no_argument():
+    # 10**5000 has more digits than int-to-string conversion allows
+    assert comb64(10**5000, 0) == 1
+    assert comb64(10**5000, 10**5000) == 1
+
+
 def test_segments_and_delta_validate_arguments():
     for call, args in [
         (segment, (0, 5)),
@@ -220,6 +226,9 @@ def test_shadow_of_two_simplices_has_2d_plus_1_members(d):
 def test_shadow_of_empty_family_is_empty():
     assert len(shadow(FaceFamily((), size=3))) == 0
     assert shadow(FaceFamily(())).uniform_size is None
+    # {∅} has no member below its one member, the empty face
+    below_empty_face = shadow(FaceFamily([Face()]))
+    assert len(below_empty_face) == 0 and below_empty_face.uniform_size == 0
 
 
 @given(

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import kkvd.errors
+
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "kkvd").glob("*.py"))
 
 
@@ -119,3 +121,19 @@ def test_cli_writes_stdout_only_in_main():
                 if to != ["sys.stderr"]:
                     writes.append(node.lineno)
     assert writes == []
+
+
+def test_every_raise_names_a_library_error():
+    # callers catch KKError, so src raises only what kkvd.errors defines;
+    # a bare re-raise and the entry points' SystemExit are exempt
+    errors = {name for name, value in vars(kkvd.errors).items() if isinstance(value, type)}
+    others = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                entry = name == "SystemExit" and path.name in ("__main__.py", "cli.py")
+                if name not in errors and not entry:
+                    others.append((path.name, node.lineno, ast.unparse(node.exc)))
+    assert others == []
