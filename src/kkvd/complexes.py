@@ -610,6 +610,11 @@ def _named(value: object) -> str:
     return f"{text[:1024]}... ({len(text)} characters)"
 
 
+def _member(kind, v):
+    """kind(v) for an enum of strs; Enum's lookup fails on an int past the digit limit."""
+    return v if isinstance(v, kind) else kind(v) if isinstance(v, str) else kind._missing_(v)
+
+
 def make_complex(faces: Iterable[FaceLike]) -> SimplicialComplex:
     """The complex generated by the given faces (dominated faces absorbed)."""
     return SimplicialComplex(faces)

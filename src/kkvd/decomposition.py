@@ -51,16 +51,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Face, SimplicialComplex, _bits, _face_of, _union
-from .complexes import _deletion_masks, _is_pure, _link_masks, _named, _ridges
+from .complexes import _deletion_masks, _is_pure, _link_masks, _member, _named, _ridges
 from .errors import BudgetExceeded, InvalidInput, LimitExceeded, NotExtremal, NotPure
 from .kruskal_katona import _witness_scan, is_extremal
 
 # distinct subcomplexes one certify_vd call may search
 _NODE_BUDGET = 4096
+_STEPS = re.compile(r"\A((?:link|deletion) of [^:]*: )(?:(?:link|deletion) of [^:]*: )+")
 
 
 class Strategy(enum.Enum):
@@ -189,7 +191,7 @@ def certify_vd(
     exhaustive search otherwise.  Raises ``BudgetExceeded`` when the search
     reaches more than 4096 distinct subcomplexes.
     """
-    strategy = Strategy(strategy)
+    strategy = _member(Strategy, strategy)
     if not c.is_pure:
         raise NotPure(f"{_named(c)} is not pure")
     labels, masks = c.vertex_set, c._facet_masks
@@ -272,8 +274,12 @@ def diagnose_certificate(
 
     Each (node, subcomplex) pair is judged once per call: a node object
     reused under different subcomplexes is judged against each of them.
+    A reason past 4 KiB keeps only its first step and its innermost cause.
     """
-    return _diagnose(c, tree, {})
+    reason = _diagnose(c, tree, {})
+    if reason is not None and len(reason) > 4096:
+        reason = _STEPS.sub(r"\1...: ", reason)
+    return reason
 
 
 def _diagnose(c, tree, verdicts) -> str | None:
@@ -303,13 +309,13 @@ def _diagnose_node(c, tree, verdicts) -> str | None:
         link = c.link(Face._unsafe((tree.vertex,)))
         sub = _diagnose(link, tree.link, verdicts)
         if sub is not None:
-            return f"link of {_named(tree.vertex)}: {sub}"
+            return f"link of {_named(int(tree.vertex))}: {sub}"
         deletion = link  # of a cone point, which lies in all facets of pure c
         if link.facet_count < c.facet_count:
             deletion = c.delete_vertex(tree.vertex)
         sub = _diagnose(deletion, tree.deletion, verdicts)
         if sub is not None:
-            return f"deletion of {_named(tree.vertex)}: {sub}"
+            return f"deletion of {_named(int(tree.vertex))}: {sub}"
         return None
     return f"unknown tree node {_named(tree)}"
 

@@ -24,10 +24,10 @@ A cone (some vertex in every facet) is contractible: its reduced homology
 vanishes and no boundary matrix is built for it.  A complex with cone
 points C is the join of the simplex C and its base B = lk(C), so
 lk(τ ∪ C) = lk_B(τ) (Munkres 1984).  The Reisner check runs on B, or on c
-itself with no cone, visits faces up to dimension dim B - 2 (the larger
-have points or {∅} for links, which cannot fail), reads a graph link's
-b_0 off its components and ranks each larger shape once; its face
-budget counts only until the count passes it.
+itself with no cone.  Links of faces above dimension dim B - 2 cannot fail;
+those of the (dim B - 2)-faces τ are graphs on the F - τ, all read in one
+pass over B's facets.  Smaller faces are linked in turn, and each link shape
+past a graph is ranked once; the face budget counts only until it passes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex, _bits, _components, _count_faces
-from .complexes import _face_of, _faces_of_size, _intersection, _named
+from .complexes import _face_of, _faces_of_size, _intersection, _member, _named
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
 
@@ -166,7 +166,7 @@ def reduced_betti(
     c: SimplicialComplex, field: CoefficientField | str = CoefficientField.RATIONALS
 ) -> BettiProfile:
     """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}."""
-    field = CoefficientField(field)
+    field = _member(CoefficientField, field)
     d = c.dimension
     if d is None:
         raise EmptyComplex("homology undefined for the empty complex")
@@ -223,10 +223,9 @@ def reisner_cm_check(
     in squashed order per dimension, which (A ∪ C) △ (B ∪ C) = A △ B keeps
     for the cone points C.  A face missing a cone point has a cone for its
     link; a face τ ∪ C has lk_B(τ), B = lk(C).  A link of points or {∅}
-    has no degree below -1 and b_{-1} = 0, so only faces up to dimension
-    d - 2 are visited; a graph link fails only by b_0 = components - 1.
+    cannot fail, and a graph fails only by b_0 = components - 1.
     """
-    field = CoefficientField(field)
+    field = _member(CoefficientField, field)
     if c.dimension is None:
         raise EmptyComplex("Cohen-Macaulay check undefined for the empty complex")
     _check_face_budget(c, face_budget)
@@ -234,7 +233,8 @@ def reisner_cm_check(
     base = c.link(apex) if apex else c
     betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
-    for i in range(-1, base.dimension - 1):
+    d = base.dimension
+    for i in range(-1, d - 2):
         for face in base.faces_of_dim(i):
             link = base.link(face) if face else base
             masks, dim = link._facet_masks, link.dimension
@@ -249,4 +249,13 @@ def reisner_cm_check(
             for j, rank in enumerate(ranks, start=-1):
                 if rank:
                     violations.append(Violation(face.union(apex), j, rank))
+    graphs: dict[int, list[int]] = {}  # lk(τ) of each (d-2)-face τ: the F - τ, edges first
+    for f in reversed(base._facet_masks if d > 0 else ()):  # a base of points has no edge
+        k = f.bit_count() - d + 1  # 2 for an edge F - τ, 1 for a point
+        for sub in itertools.combinations([1 << b for b in _bits(f)], max(k, 0)):
+            if (tau := f - sum(sub)) in graphs or k == 2:  # points alone cannot fail
+                graphs.setdefault(tau, []).append(f - tau)
+    for tau in sorted(graphs):
+        if rank := _components(graphs[tau])[1] - 1:
+            violations.append(Violation(_face_of(tau, base._labels).union(apex), 0, rank))
     return CMReport(is_cm=not violations, field=field, violations=tuple(violations))

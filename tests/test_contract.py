@@ -16,17 +16,22 @@ from kkvd import (
     Strategy,
     boundary_matrix,
     cascade_rep,
+    certify_vd,
     colex_rank,
     colex_unrank,
     comb64,
     delta,
+    diagnose_certificate,
     find_shelling,
     make_complex,
+    reduced_betti,
     reisner_cm_check,
     segment,
     segment_avoiding,
 )
 from kkvd.cli import main
+from kkvd.complexes import _named
+from kkvd.decomposition import Point, Split
 from kkvd.errors import KKError
 from kkvd.io import parse_certificate, parse_facets
 
@@ -69,6 +74,9 @@ HOSTILE = {
     "segment_avoiding(2, 3, -BIG)": lambda: segment_avoiding(2, 3, -BIG),
     "find_shelling(-BIG)": lambda: find_shelling(SQUARE, facet_limit=-BIG),
     "reisner_cm_check(-BIG)": lambda: reisner_cm_check(SQUARE, face_budget=-BIG),
+    "certify_vd(strategy=BIG)": lambda: certify_vd(SQUARE, BIG),
+    "reduced_betti(field=-BIG)": lambda: reduced_betti(SQUARE, -BIG),
+    "reisner_cm_check(field=BIG)": lambda: reisner_cm_check(SQUARE, BIG),
     "Strategy(LONG)": lambda: Strategy(LONG),
     "CoefficientField(LONG)": lambda: CoefficientField(LONG),
     "parse_facets(LONG)": lambda: parse_facets("1 2\n3 " + LONG + "\n"),
@@ -108,3 +116,28 @@ def test_analyze_names_a_long_token_in_a_short_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: expected a positive integer, got 'xxx")
     assert max(map(len, err.splitlines())) <= 4096
+
+
+class Label(int):
+    def __repr__(self):
+        return f"<Label: {int(self)}>"
+
+
+def test_diagnose_keeps_a_deep_reason_short():
+    # a 40-vertex facet of 4,000-digit labels, with a wrong point at the bottom
+    labels = [10**3999 + i for i in range(40)]
+
+    def chain(label):
+        tree = Point(1)
+        for v in reversed(labels[:-1]):
+            tree = Split(label(v), tree, tree)
+        return tree
+
+    reason = diagnose_certificate(make_complex([labels]), chain(int))
+    assert len(reason) <= 4096  # 42,225 characters with every step kept
+    # the first step and the innermost cause stay whole
+    cause = diagnose_certificate(make_complex([labels[-1:]]), Point(1))
+    assert cause.startswith("claimed single vertex 1, but complex is ")
+    assert reason == f"link of {_named(labels[0])}: ...: {cause}"
+    # a step shows an int subclass by its value, so no repr's ": " hides a step
+    assert diagnose_certificate(make_complex([labels]), chain(Label)) == reason

@@ -569,8 +569,8 @@ def test_violations_at_codimension_two(facets, want, field):
 @pytest.mark.parametrize(
     "c, top",
     [
-        (make_complex(itertools.combinations(range(1, 9), 4)), 1),
-        (with_apex(make_complex(RP2_FACETS)), 0),
+        (make_complex(itertools.combinations(range(1, 9), 4)), 0),
+        (with_apex(make_complex(RP2_FACETS)), -1),
         (make_complex([(1, 2, 3, 4)]), None),
         (make_complex([(1,)]), None),
         (make_complex([()]), None),
@@ -578,7 +578,8 @@ def test_violations_at_codimension_two(facets, want, field):
     ids=["C(8,4)", "cone-over-rp2", "facet", "point", "empty-face"],
 )
 def test_reisner_visits_only_faces_up_to_codimension_two(monkeypatch, c, top):
-    # links of (d-1)- and d-faces cannot fail, so those faces are never listed
+    # links of (d-1)- and d-faces cannot fail, so those faces are never listed,
+    # and the graph links of (d-2)-faces are read off the facets
     seen = []
     real = SimplicialComplex.faces_of_dim
     monkeypatch.setattr(
@@ -646,15 +647,15 @@ def test_reisner_on_links_of_dimension_at_most_one(field):
     "c, ranked, links",
     [
         # ∅, then one shape for all eight vertex links; the 28 edge links are graphs
-        (make_complex(itertools.combinations(range(1, 9), 4)), 2, 8 + 28),
+        (make_complex(itertools.combinations(range(1, 9), 4)), 2, 8),
         # ∅ only: vertex links are 5-cycles
-        (make_complex(RP2_FACETS), 1, 6),
-        # the apex's link, then the base's six vertices
-        (with_apex(make_complex(RP2_FACETS)), 1, 1 + 6),
+        (make_complex(RP2_FACETS), 1, 0),
+        # the apex's link; the base's six vertex links are 5-cycles
+        (with_apex(make_complex(RP2_FACETS)), 1, 1),
         # a graph: its own link of ∅ is read off its components
         (make_complex([(1, 2), (3, 4)]), 0, 0),
         # ∅, then lk(3) = an edge and a point, and graphs or points elsewhere
-        (make_complex([(1, 2, 3), (3, 4), (4, 5)]), 1, 5),
+        (make_complex([(1, 2, 3), (3, 4), (4, 5)]), 1, 0),
     ],
     ids=["C(8,4)", "rp2", "cone-over-rp2", "two-edges", "non-pure"],
 )
@@ -678,3 +679,41 @@ def test_reisner_ranks_no_graph_link_and_copies_no_complex(monkeypatch, field, c
     assert len(seen_links) == links and Face() not in seen_links
     monkeypatch.undo()
     assert list(report.violations) == reisner_reference(c, field)
+
+
+def top_layer_inputs(rng):
+    """Complexes of dimension 3 and 4 on at most 9 vertices: pure, non-pure
+    (smaller facets beside the top ones) and cones, some on labels in 1..64."""
+    for t in range(160):
+        cone = t % 4 >= 2  # the apex adds one to the dimension
+        k = 4 + t % 2 - cone
+        facets = random_family(rng, k, rng.randint(k + 1, 9 - cone), rng.randint(2, 6))
+        if t % 2:
+            facets += random_family(rng, rng.randint(1, k - 1), 9 - cone, rng.randint(1, 4))
+        c = make_complex(facets)
+        if cone:
+            c = with_apex(c)
+        if t % 3 == 0:
+            labels = sorted(rng.sample(range(1, 65), len(c.vertex_set)))
+            relabel = dict(zip(c.vertex_set, labels))
+            c = make_complex([[relabel[v] for v in f] for f in c.facets])
+        yield c
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_reisner_on_codimension_two_links_of_three_and_four_dimensional_complexes(field):
+    # the (d-2)-faces' links come off the facets in one pass, not face by face
+    rng = random.Random(83)
+    dims, top, failing, non_pure = [], 0, 0, 0
+    for c in top_layer_inputs(rng):
+        report = reisner_cm_check(c, field)
+        assert list(report.violations) == reisner_reference(c, field), c
+        d = c.dimension
+        dims.append(d)
+        at_top = sum(len(v.face) == d - 1 for v in report.violations)
+        top += at_top
+        failing += bool(at_top)
+        non_pure += not c.is_pure
+    assert sorted(set(dims)) == [3, 4] and min(dims.count(3), dims.count(4)) == 80
+    # 234 violations at (d-2)-faces in 84 complexes, 54 non-pure, with this seed
+    assert top >= 150 and failing >= 60 and non_pure >= 40
