@@ -8,17 +8,17 @@ inclusion-maximal, sorted by size, then value, made from facet labels with
 no Face per facet.  Subset tests, links and deletions are word operations.
 
 The helpers below are the one copy of each mask operation: set bits, purity,
-union and intersection, the maximal filter, compaction (:func:`_compact`,
-the only place labels get renumbered), faces to masks and back, the faces
-of one size (:func:`_faces_of_size`, ascending masks in squashed order),
-the one walk over all faces, which stops past a limit, the shadow, the
-ridge tally, link and deletion (through the shadow when the complex is
-pure, with no maximal filter).  F-vectors count faces by the deletion-link
-recursion, or by that walk where it costs less (:func:`_face_counts`).
-The recursions of :mod:`kkvd.decomposition` run on them directly and
-build no complex per node.  :class:`Face` and :class:`FaceFamily` exist
-only at the edges: the public API and parsing and formatting.  All public
-output is in terms of the original labels.
+union, intersection and completeness, the maximal filter, compaction
+(:func:`_compact`, the only place labels get renumbered), faces to masks and
+back, the faces of one size (:func:`_faces_of_size`, ascending masks in
+squashed order), the one walk over all faces, which stops past a limit, the
+shadow, the ridge tally, link and deletion (through the shadow when the
+complex is pure, with no maximal filter).  F-vectors count faces by the
+deletion-link recursion, or by that walk where it costs less
+(:func:`_face_counts`).  The recursions of :mod:`kkvd.decomposition` run on
+them directly and build no complex per node.  :class:`Face` and
+:class:`FaceFamily` exist only at the edges: the public API and parsing and
+formatting.  All public output is in terms of the original labels.
 """
 
 from __future__ import annotations
@@ -223,6 +223,11 @@ def _is_pure(masks: Iterable[int]) -> bool:
 def _intersection(masks: Iterable[int]) -> int:
     """The bits common to all masks; nonzero for facets of a cone."""
     return functools.reduce(operator.and_, masks, -1)
+
+
+def _complete(masks: Sequence[int]) -> bool:
+    """Whether masks all of one size k are every k-subset of their union."""
+    return len(masks) == math.comb(_union(masks).bit_count(), masks[0].bit_count())
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,7 +61,6 @@ from .kruskal_katona import _witness_scan, is_extremal
 
 # distinct subcomplexes one certify_vd call may search
 _NODE_BUDGET = 4096
-_STEPS = re.compile(r"\A((?:link|deletion) of [^:]*: )(?:(?:link|deletion) of [^:]*: )+")
 
 
 class Strategy(enum.Enum):
@@ -276,20 +274,23 @@ def diagnose_certificate(
     reused under different subcomplexes is judged against each of them.
     A reason past 4 KiB keeps only its first step and its innermost cause.
     """
-    reason = _diagnose(c, tree, {})
-    if reason is not None and len(reason) > 4096:
-        reason = _STEPS.sub(r"\1...: ", reason)
-    return reason
+    verdict, shown, size = _diagnose(c, tree, {}), [], 0
+    while isinstance(verdict, tuple):  # a failed split: (step, vertex, the child's verdict)
+        step, v, verdict = verdict
+        shown.append(f"{step} of {_named(int(v))}: " if size <= 4096 else "")
+        size += len(shown[-1])
+    cut = len(shown) > 1 and size + len(verdict) > 4096  # keep the first step and the cause
+    return verdict and "".join(shown[:1] + ["...: "] if cut else shown) + verdict
 
 
-def _diagnose(c, tree, verdicts) -> str | None:
+def _diagnose(c, tree, verdicts) -> str | tuple | None:
     verdict = verdicts.get(key := (id(tree), c), verdicts)  # None is a verdict
     if verdict is verdicts:
         verdict = verdicts[key] = _diagnose_node(c, tree, verdicts)
     return verdict
 
 
-def _diagnose_node(c, tree, verdicts) -> str | None:
+def _diagnose_node(c, tree, verdicts) -> str | tuple | None:
     if not c.is_pure:
         return f"{_named(c)} is not pure"
     if isinstance(tree, (Point, Split)):
@@ -309,13 +310,13 @@ def _diagnose_node(c, tree, verdicts) -> str | None:
         link = c.link(Face._unsafe((tree.vertex,)))
         sub = _diagnose(link, tree.link, verdicts)
         if sub is not None:
-            return f"link of {_named(int(tree.vertex))}: {sub}"
+            return "link", tree.vertex, sub
         deletion = link  # of a cone point, which lies in all facets of pure c
         if link.facet_count < c.facet_count:
             deletion = c.delete_vertex(tree.vertex)
         sub = _diagnose(deletion, tree.deletion, verdicts)
         if sub is not None:
-            return f"deletion of {_named(int(tree.vertex))}: {sub}"
+            return "deletion", tree.vertex, sub
         return None
     return f"unknown tree node {_named(tree)}"
 

@@ -20,14 +20,16 @@ exactly when every face has a link with vanishing reduced homology below
 its dimension.  Only GF(2) and the rationals are supported; torsion at odd
 primes is invisible here, which reports must spell out.
 
-A cone (some vertex in every facet) is contractible: its reduced homology
-vanishes and no boundary matrix is built for it.  A complex with cone
-points C is the join of the simplex C and its base B = lk(C), so
+A cone (some vertex in every facet) is contractible, and the k-subsets of s
+vertices form a wedge of C(s - 1, k) spheres of dimension k - 1, being
+shellable (Björner 1980): neither needs a boundary matrix.  A complex with
+cone points C is the join of the simplex C and its base B = lk(C), so
 lk(τ ∪ C) = lk_B(τ) (Munkres 1984).  The Reisner check runs on B, or on c
-itself with no cone.  Links of faces above dimension dim B - 2 cannot fail;
-those of the (dim B - 2)-faces τ are graphs on the F - τ, all read in one
-pass over B's facets.  Smaller faces are linked in turn, and each link shape
-past a graph is ranked once; the face budget counts only until it passes.
+itself with no cone, and passes a complete B at once.  Links of faces above
+dimension dim B - 2 cannot fail; those of the (dim B - 2)-faces τ are graphs
+on the F - τ, all read in one pass over B's facets.  Smaller faces are
+linked in turn, and each link shape past a graph is ranked once; the face
+budget refuses a facet past it at once, and else counts until it passes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex, _bits, _components, _count_faces
+from .complexes import Face, SimplicialComplex, _bits, _complete, _components, _count_faces
 from .complexes import _face_of, _faces_of_size, _intersection, _member, _named
 from .errors import BudgetExceeded, EmptyComplex, InvalidInput, OutOfRange
 
@@ -165,7 +167,8 @@ class BettiProfile:
 def reduced_betti(
     c: SimplicialComplex, field: CoefficientField | str = CoefficientField.RATIONALS
 ) -> BettiProfile:
-    """Reduced Betti numbers from ranks: b_i = f_i - rank d_i - rank d_{i+1}."""
+    """Reduced Betti numbers from ranks, b_i = f_i - rank d_i - rank d_{i+1}, but with
+    no rank for a cone (all zero) or all k-sets of s vertices (C(s - 1, k) atop)."""
     field = _member(CoefficientField, field)
     d = c.dimension
     if d is None:
@@ -174,6 +177,9 @@ def reduced_betti(
     if _intersection(masks):
         # a cone is contractible, so its reduced homology vanishes
         return BettiProfile(reduced=(0,) * (d + 2), field=field)
+    if d >= 0 and c.is_pure and _complete(masks):  # a wedge of C(s - 1, k) (k - 1)-spheres
+        top = math.comb(len(c._labels) - 1, d + 1)
+        return BettiProfile(reduced=(0,) * (d + 1) + (top,), field=field)
     rank = rank_gf2 if field is CoefficientField.GF2 else rank_rational
     f0, components = _components(masks)
     # f_1 is the edge facets' count when d = 1, d_2's row count past that
@@ -207,7 +213,8 @@ def _check_face_budget(c: SimplicialComplex, face_budget: int) -> None:
     """Refuse a complex with more than face_budget faces, ∅ included."""
     masks = c._facet_masks  # a facet of s vertices has 2^s faces, ∅ included
     bound = sum(1 << m.bit_count() for m in masks)
-    if bound > face_budget and len(_count_faces(masks, face_budget)) > face_budget:
+    large = 1 << masks[-1].bit_count() > face_budget  # the largest facet alone passes it
+    if large or bound > face_budget and len(_count_faces(masks, face_budget)) > face_budget:
         budget = _named(face_budget)
         raise BudgetExceeded(f"more than {budget} faces, over the budget of {budget}")
 
@@ -222,8 +229,8 @@ def reisner_cm_check(
     Records every (face, degree, rank) violation over all faces, ∅ included,
     in squashed order per dimension, which (A ∪ C) △ (B ∪ C) = A △ B keeps
     for the cone points C.  A face missing a cone point has a cone for its
-    link; a face τ ∪ C has lk_B(τ), B = lk(C).  A link of points or {∅}
-    cannot fail, and a graph fails only by b_0 = components - 1.
+    link; a face τ ∪ C has lk_B(τ), B = lk(C).  A graph link fails only by
+    b_0 = components - 1; the links of a complete B are complete, so never.
     """
     field = _member(CoefficientField, field)
     if c.dimension is None:
@@ -231,6 +238,8 @@ def reisner_cm_check(
     _check_face_budget(c, face_budget)
     apex = _face_of(_intersection(c._facet_masks), c._labels)
     base = c.link(apex) if apex else c
+    if base.is_pure and _complete(base._facet_masks):
+        return CMReport(is_cm=True, field=field, violations=())
     betti: dict[tuple[int, ...], tuple[int, ...]] = {}  # by compacted link masks
     violations: list[Violation] = []
     d = base.dimension
@@ -250,7 +259,7 @@ def reisner_cm_check(
                 if rank:
                     violations.append(Violation(face.union(apex), j, rank))
     graphs: dict[int, list[int]] = {}  # lk(τ) of each (d-2)-face τ: the F - τ, edges first
-    for f in reversed(base._facet_masks if d > 0 else ()):  # a base of points has no edge
+    for f in reversed(base._facet_masks):  # a base of points or {∅} is complete
         k = f.bit_count() - d + 1  # 2 for an edge F - τ, 1 for a point
         for sub in itertools.combinations([1 << b for b in _bits(f)], max(k, 0)):
             if (tau := f - sum(sub)) in graphs or k == 2:  # points alone cannot fail

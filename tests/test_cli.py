@@ -543,3 +543,25 @@ def test_golden_outputs_are_byte_stable(name, argv, tmp_path, monkeypatch):
     assert first_code == second_code
     assert first_out == second_out  # byte-identical across runs
     assert first_out == (GOLDEN / name).read_text()
+
+
+# C(8,4): all 4-subsets of 1..8, a complete family of dimension 3.  Its file is
+# written per test, as the benchmark's cli-files workload reads all of tests/data.
+COMPLETE_GOLDEN = [
+    (f"{command}_c8_4_{field}{suffix}", command, field, flags)
+    for command in ("betti", "reisner")
+    for field in ("gf2", "q")
+    for suffix, flags in ((".txt", []), (".json", ["--json"]))
+]
+
+
+@pytest.mark.parametrize(
+    "name,command,field,flags", COMPLETE_GOLDEN, ids=[c[0] for c in COMPLETE_GOLDEN]
+)
+def test_golden_outputs_of_a_complete_family(name, command, field, flags, tmp_path):
+    f = tmp_path / "c8_4.txt"
+    facets = itertools.combinations(range(1, 9), 4)
+    f.write_text("".join(" ".join(map(str, s)) + "\n" for s in facets))
+    code, out, err = run_cli(command, str(f), "--field", field, *flags)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()

@@ -7,6 +7,7 @@ whose message stays under 4 KiB: values are shown through
 """
 
 import functools
+import tracemalloc
 
 import pytest
 
@@ -141,3 +142,23 @@ def test_diagnose_keeps_a_deep_reason_short():
     assert reason == f"link of {_named(labels[0])}: ...: {cause}"
     # a step shows an int subclass by its value, so no repr's ": " hides a step
     assert diagnose_certificate(make_complex([labels]), chain(Label)) == reason
+
+
+def test_diagnose_renders_a_deep_reason_once():
+    # a 64-vertex facet of 4,000-digit labels: each of its 63 steps names a label
+    # in about 1 KB, so the whole reason has 67,545 characters, and keeping one
+    # such reason per level holds 2.2 MB
+    labels = [10**3999 + i for i in range(64)]
+    tree = Point(1)
+    for v in reversed(labels[:-1]):
+        tree = Split(v, tree, tree)
+    c = make_complex([labels])
+    tracemalloc.start()
+    try:
+        reason = diagnose_certificate(c, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
+    cause = diagnose_certificate(make_complex([labels[-1:]]), Point(1))
+    assert reason == f"link of {_named(labels[0])}: ...: {cause}"

@@ -48,6 +48,9 @@ RP2_FACETS = [
     (3, 5, 6),
 ]
 
+# all 4-subsets of 1..8 but the last: not complete
+C84_MINUS_ONE = list(itertools.combinations(range(1, 9), 4))[:-1]
+
 
 @pytest.fixture(scope="module")
 def projective_plane():
@@ -284,13 +287,19 @@ def test_boundary_matrices_built_only_from_degree_two(monkeypatch, field):
         kkvd.homology, "boundary_matrix", lambda c, i: built.append(i) or real(c, i)
     )
     for d in range(5):
-        sphere = make_complex(itertools.combinations(range(1, d + 3), d + 1))
+        # the boundary of the (d+1)-dimensional cross-polytope, not complete once d >= 1
+        cross = make_complex(itertools.product(*((2 * i + 1, 2 * i + 2) for i in range(d + 1))))
         built.clear()
-        assert reduced_betti(sphere, field).reduced == (0,) * (d + 1) + (1,)
+        assert reduced_betti(cross, field).reduced == (0,) * (d + 1) + (1,)
         assert built == list(range(2, d + 1))
         built.clear()
-        assert reduced_betti(with_apex(sphere), field).reduced == (0,) * (d + 3)
+        assert reduced_betti(with_apex(cross), field).reduced == (0,) * (d + 3)
+        # the boundary of a simplex is complete: read off its facet count
+        sphere = make_complex(itertools.combinations(range(1, d + 3), d + 1))
+        assert reduced_betti(sphere, field).reduced == (0,) * (d + 1) + (1,)
         assert built == []
+    skeleton = make_complex(itertools.combinations(range(1, 9), 4))
+    assert reduced_betti(skeleton, field).reduced == (0, 0, 0, 0, 35)
     for facets in ([()], [(1,)], [(1, 2), (3,)], [(1, 2), (2, 3), (3, 1), (4, 5)]):
         reduced_betti(make_complex(facets), field)
     assert built == []
@@ -385,11 +394,11 @@ def test_violations_report_original_faces():
     assert report.violations[0].face == Face()
 
 
-def reisner_reference(c, field):
+def reisner_reference(c, field, oracle=betti_oracle):
     """Violations face by face: every link from scratch, ranked by the oracle."""
     violations = []
     for face in c.all_faces():
-        betti = betti_oracle(c.link(face), rational=field is Q)
+        betti = oracle(c.link(face), rational=field is Q)
         # degrees -1 .. dim(link) - 1, below the link's top dimension
         violations += [Violation(face, i, b) for i, b in enumerate(betti[:-1], -1) if b]
     return violations
@@ -425,6 +434,53 @@ def test_reisner_matches_face_by_face_reference(field):
         assert report.is_cm is not want
         violating += bool(want)
     assert violating >= 25  # the inputs exercise the violation path
+
+
+def complete_families(rng):
+    """(complex, whether complete): every C(s, k), all k-subsets of s vertices
+    for 1 <= k <= s <= 9, on 1..s and on labels in 1..64; the cone over each;
+    and, for k > 1, C(s, k) with one smaller facet through a new vertex.  Only
+    those of at most 256 faces: past that the rational oracle takes seconds."""
+    for s in range(1, 10):
+        for k in range(1, s + 1):
+            labels = sorted(rng.sample(range(1, 65), s + 1))
+            full = list(itertools.combinations(range(1, s + 1), k))
+            extra = rng.sample(range(1, s + 1), rng.randint(0, max(k - 2, 0))) + [s + 1]
+            for name in (lambda v: v, lambda v: labels[v - 1]):
+                c = make_complex([map(name, f) for f in full])
+                family = [(c, True), (with_apex(c), False)]
+                if k > 1:
+                    family.append((make_complex([map(name, f) for f in full + [extra]]), False))
+                yield from ((c, complete) for c, complete in family if c.face_count() <= 256)
+
+
+def shape_oracle():
+    """betti_oracle once per shape: a relabeling of the vertices keeps the homology."""
+    known = {}
+
+    def oracle(c, rational):
+        key = (c.canonical_facets(), rational)
+        if key not in known:
+            known[key] = betti_oracle(c, rational=rational)
+        return known[key]
+
+    return oracle
+
+
+@pytest.mark.parametrize("field", [GF2, Q])
+def test_complete_families_match_oracles(field):
+    # C(s, k) is a wedge of C(s - 1, k) spheres of dimension k - 1, and Cohen-Macaulay
+    rng, oracle = random.Random(89), shape_oracle()
+    wedges = violating = 0
+    for c, complete in complete_families(rng):
+        profile = reduced_betti(c, field).reduced
+        assert list(profile) == oracle(c, rational=field is Q), c
+        report = reisner_cm_check(c, field)
+        assert list(report.violations) == reisner_reference(c, field, oracle), c
+        assert report.is_cm or not complete
+        wedges += complete and profile[-1] > 1
+        violating += not report.is_cm
+    assert wedges >= 45 and violating >= 45  # 50 and 54 with this seed
 
 
 def interleaved_cones(rng):
@@ -514,6 +570,19 @@ def test_face_budget_counts_no_faces_under_the_facet_bound(monkeypatch):
     assert reisner_cm_check(make_complex([(1, 2, 3), (2, 3, 4)]), Q, face_budget=16).is_cm
 
 
+def test_face_budget_refuses_a_large_facet_without_counting(monkeypatch):
+    # a 14-vertex facet alone has 2^14 = 16,384 faces
+    def count_faces(masks, limit):
+        raise AssertionError("faces counted")
+
+    monkeypatch.setattr(kkvd.homology, "_count_faces", count_faces)
+    with pytest.raises(BudgetExceeded, match="more than 5000 faces, over the budget of 5000"):
+        reisner_cm_check(make_complex([tuple(range(1, 15))]), Q)
+    # the boundary of the simplex on 13 vertices: 12-vertex facets, so counted
+    with pytest.raises(AssertionError, match="faces counted"):
+        reisner_cm_check(make_complex(itertools.combinations(range(1, 14), 12)), Q)
+
+
 @pytest.mark.parametrize("field", [GF2, Q])
 def test_face_budget_stops_counting_on_a_large_facet(field):
     start = time.perf_counter()
@@ -569,13 +638,14 @@ def test_violations_at_codimension_two(facets, want, field):
 @pytest.mark.parametrize(
     "c, top",
     [
-        (make_complex(itertools.combinations(range(1, 9), 4)), 0),
+        (make_complex(itertools.combinations(range(1, 9), 4)), None),
+        (make_complex(C84_MINUS_ONE), 0),
         (with_apex(make_complex(RP2_FACETS)), -1),
         (make_complex([(1, 2, 3, 4)]), None),
         (make_complex([(1,)]), None),
         (make_complex([()]), None),
     ],
-    ids=["C(8,4)", "cone-over-rp2", "facet", "point", "empty-face"],
+    ids=["C(8,4)", "C(8,4)-minus-one", "cone-over-rp2", "facet", "point", "empty-face"],
 )
 def test_reisner_visits_only_faces_up_to_codimension_two(monkeypatch, c, top):
     # links of (d-1)- and d-faces cannot fail, so those faces are never listed,
@@ -646,8 +716,10 @@ def test_reisner_on_links_of_dimension_at_most_one(field):
 @pytest.mark.parametrize(
     "c, ranked, links",
     [
-        # ∅, then one shape for all eight vertex links; the 28 edge links are graphs
-        (make_complex(itertools.combinations(range(1, 9), 4)), 2, 8),
+        # complete: Cohen-Macaulay with no link built or ranked
+        (make_complex(itertools.combinations(range(1, 9), 4)), 0, 0),
+        # ∅, then two shapes for the eight vertex links; the edge links are graphs
+        (make_complex(C84_MINUS_ONE), 3, 8),
         # ∅ only: vertex links are 5-cycles
         (make_complex(RP2_FACETS), 1, 0),
         # the apex's link; the base's six vertex links are 5-cycles
@@ -657,7 +729,7 @@ def test_reisner_on_links_of_dimension_at_most_one(field):
         # ∅, then lk(3) = an edge and a point, and graphs or points elsewhere
         (make_complex([(1, 2, 3), (3, 4), (4, 5)]), 1, 0),
     ],
-    ids=["C(8,4)", "rp2", "cone-over-rp2", "two-edges", "non-pure"],
+    ids=["C(8,4)", "C(8,4)-minus-one", "rp2", "cone-over-rp2", "two-edges", "non-pure"],
 )
 def test_reisner_ranks_no_graph_link_and_copies_no_complex(monkeypatch, field, c, ranked, links):
     seen_ranked, seen_links = [], []
